@@ -194,6 +194,13 @@ def _read_observation(path):
         raise ValueError(
             f"{path}: expected a 'y' column (or a single-column CSV)"
         )
+    bad = np.flatnonzero(~np.isfinite(cols["y"]))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"{path}: non-finite input: {bad.size} of {cols['y'].size} samples "
+            f"of y, the first y[{i}] = {cols['y'][i]}"
+        )
     truth = None
     if "x1_true" in cols and "x2_true" in cols:
         truth = (cols["x1_true"], cols["x2_true"])

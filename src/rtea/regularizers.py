@@ -5,8 +5,12 @@ the signal.  Signals are zero-padded, and the window sum runs over every
 position where the mask overlaps the signal, i.e. positions
 ``-(K-1) .. N-1`` for a mask of length K over a signal of length N.
 
-Both the penalty and the weight sequences reduce to two 1-D convolutions,
-which keeps evaluation O(N*K) with deterministic left-to-right summation.
+Both the penalty and the weight sequences reduce to convolutions with the
+mask, and both go through one primitive, :meth:`WeightArray._convolve`.  A
+mask is m+1 copies of an n1-sample box at stride ``period``, so each
+convolution is one length-n1 box convolution plus m+1 shifted slice-adds:
+O(N*(n1+m)) work instead of O(N*K), with every sum of nonnegative terms
+staying nonnegative.
 """
 
 from __future__ import annotations
@@ -60,18 +64,33 @@ class WeightArray:
         """All-ones mask of length k (a single group, no period structure)."""
         return cls(n1=k, n0=0, m=0)
 
+    def _convolve(self, v: np.ndarray, start: int = 0, size: int | None = None) -> np.ndarray:
+        """Entries ``start .. start+size-1`` of the full convolution of ``v``
+        with the mask (all ``len(v) + len(self) - 1`` of them by default).
 
-def _as_mask(b) -> np.ndarray:
-    if isinstance(b, WeightArray):
-        return b.array
-    mask = np.asarray(b, dtype=float)
-    if mask.ndim != 1 or mask.size == 0:
-        raise ValueError("mask must be a nonempty 1-D array")
-    if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise ValueError("mask entries must be 0 or 1")
-    if not mask.any():
-        raise ValueError("mask must contain at least one 1")
-    return mask
+        The box convolution of ``v`` is added at each shift ``k*period``.  The
+        mask is a palindrome, so this is also its correlation with ``v``: for
+        ``v = x*x`` entry i is the window sum at position ``i - (K-1)``.
+        """
+        box = np.convolve(v, np.ones(self.n1))
+        if size is None:
+            size = v.size + len(self) - 1
+        out = np.zeros(size)
+        for k in range(self.m + 1):
+            shift = k * self.period - start  # out index of box[0]
+            lo, hi = max(0, -shift), min(box.size, size - shift)
+            if lo < hi:
+                out[lo + shift : hi + shift] += box[lo:hi]
+        return out
+
+
+def _check_mask(b, n: int) -> None:
+    """The one mask check of every path: a ``WeightArray`` no longer than
+    the ``n``-sample signal it slides over."""
+    if not isinstance(b, WeightArray):
+        raise TypeError(f"mask must be a WeightArray, got {type(b).__name__}")
+    if len(b) > n:
+        raise ValueError(f"mask length {len(b)} exceeds signal length {n}")
 
 
 def _as_signal(x) -> np.ndarray:
@@ -81,21 +100,13 @@ def _as_signal(x) -> np.ndarray:
     return x
 
 
-def _group_sq_sums(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    # Masked sliding sums of x^2 for all N+K-1 overlapping window positions,
-    # index i corresponding to window position n = i - (K-1).  All terms are
-    # nonnegative, so the sums cannot round below zero.
-    return np.convolve(x * x, mask[::-1])
-
-
 def _penalty_from_sums(s: np.ndarray, spec: PenaltySpec) -> float:
     return float(np.sum(_smoothed_sq(s, spec)))
 
 
-def _weights_from_sums(s: np.ndarray, mask: np.ndarray, n: int, spec: PenaltySpec) -> np.ndarray:
-    inv = 1.0 / _denom_sq(s, spec)
-    k = mask.size
-    return np.convolve(inv, mask)[k - 1 : k - 1 + n]
+def _weights(b: WeightArray, s: np.ndarray, n: int, spec: PenaltySpec) -> np.ndarray:
+    # majorizer weights of the n-sample signal whose window sums under b are s
+    return b._convolve(1.0 / _denom_sq(s, spec), len(b) - 1, n)
 
 
 def group_penalty(x, b, spec: PenaltySpec) -> float:
@@ -105,10 +116,8 @@ def group_penalty(x, b, spec: PenaltySpec) -> float:
     every window position overlapping the (zero-padded) signal.
     """
     x = _as_signal(x)
-    mask = _as_mask(b)
-    if mask.size > x.size:
-        raise ValueError(f"mask length {mask.size} exceeds signal length {x.size}")
-    return _penalty_from_sums(_group_sq_sums(x, mask), spec)
+    _check_mask(b, x.size)
+    return _penalty_from_sums(b._convolve(x * x), spec)
 
 
 def combined_penalty(x1, x2, k0: int, spec: PenaltySpec) -> float:
@@ -119,7 +128,7 @@ def combined_penalty(x1, x2, k0: int, spec: PenaltySpec) -> float:
         raise ValueError(f"length mismatch: {x1.size} vs {x2.size}")
     if k0 < 1:
         raise ValueError(f"group size k0 must be >= 1, got {k0}")
-    return group_penalty(x1 + x2, np.ones(k0), spec)
+    return group_penalty(x1 + x2, WeightArray.ones(k0), spec)
 
 
 def majorizer_weights(z, b, spec: PenaltySpec) -> np.ndarray:
@@ -129,17 +138,15 @@ def majorizer_weights(z, b, spec: PenaltySpec) -> np.ndarray:
     where ``w = majorizer_weights(z, b, spec)``.  Strictly positive.
     """
     z = _as_signal(z)
-    mask = _as_mask(b)
-    if mask.size > z.size:
-        raise ValueError(f"mask length {mask.size} exceeds signal length {z.size}")
-    return _weights_from_sums(_group_sq_sums(z, mask), mask, z.size, spec)
+    _check_mask(b, z.size)
+    return _weights(b, b._convolve(z * z), z.size, spec)
 
 
 def combined_majorizer_weights(z, k0: int, spec: PenaltySpec) -> np.ndarray:
     """Majorizer weights for the all-ones mask of size k0 (sum regularizer)."""
     if k0 < 1:
         raise ValueError(f"group size k0 must be >= 1, got {k0}")
-    return majorizer_weights(z, np.ones(k0), spec)
+    return majorizer_weights(z, WeightArray.ones(k0), spec)
 
 
 def group_majorizer_gap(x, z, b, spec: PenaltySpec) -> float:

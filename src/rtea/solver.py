@@ -22,11 +22,10 @@ import numpy as np
 from .penalties import PenaltySpec
 from .regularizers import (
     WeightArray,
-    _as_mask,
     _as_signal,
-    _group_sq_sums,
+    _check_mask,
     _penalty_from_sums,
-    _weights_from_sums,
+    _weights,
     combined_majorizer_weights,
     combined_penalty,
     group_penalty,
@@ -36,6 +35,12 @@ from .regularizers import (
 
 class NumericalError(RuntimeError):
     """Raised when the iteration produces a non-finite cost."""
+
+
+def _half_sq_norm(r: np.ndarray) -> float:
+    # einsum's own loop, not BLAS: np.dot would split the reduction over
+    # BLAS threads, which stall whenever another process holds a core.
+    return 0.5 * float(np.einsum("i,i->", r, r))
 
 
 def check_convexity(k0: int, lam0: float, a0: float) -> tuple[bool, float]:
@@ -88,8 +93,10 @@ class SolverConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        _as_mask(self.b1)
-        _as_mask(self.b2)
+        for name in ("b1", "b2"):
+            b = getattr(self, name)
+            if not isinstance(b, WeightArray):
+                raise TypeError(f"{name} must be a WeightArray, got {type(b).__name__}")
         if self.lam0 == 0 and (self.pen0.a or self.pen1.a or self.pen2.a):
             raise ValueError(
                 "lam0 == 0 (no coupling term) requires all concavity parameters "
@@ -135,8 +142,7 @@ def eval_cost(y, x1, x2, cfg: SolverConfig) -> float:
         raise ValueError(
             f"length mismatch: y={y.size}, x1={x1.size}, x2={x2.size}"
         )
-    r = y - (x1 + x2)
-    total = 0.5 * float(np.dot(r, r))
+    total = _half_sq_norm(y - (x1 + x2))
     if cfg.lam0 > 0:
         total += cfg.lam0 * combined_penalty(x1, x2, cfg.k0, cfg.pen0)
     # single parenthesized pair keeps the total invariant under a 1<->2 swap
@@ -206,18 +212,17 @@ def rtea_solve(y, cfg: SolverConfig, init=None) -> DecompositionResult:
         raise ValueError("observation contains non-finite samples")
     x1, x2 = _resolve_init(y, init)
     n = y.size
-    mask0 = np.ones(cfg.k0)
-    mask1 = _as_mask(cfg.b1)
-    mask2 = _as_mask(cfg.b2)
+    b0 = WeightArray.ones(cfg.k0)
+    for b in (b0, cfg.b1, cfg.b2):
+        _check_mask(b, n)
     use0, use1, use2 = cfg.lam0 > 0, cfg.lam1 > 0, cfg.lam2 > 0
 
     def sums_and_cost(a1, a2):
         both = a1 + a2
-        s0 = _group_sq_sums(both, mask0) if use0 else None
-        s1 = _group_sq_sums(a1, mask1) if use1 else None
-        s2 = _group_sq_sums(a2, mask2) if use2 else None
-        resid = y - both
-        total = 0.5 * float(np.dot(resid, resid))
+        s0 = b0._convolve(both * both) if use0 else None
+        s1 = cfg.b1._convolve(a1 * a1) if use1 else None
+        s2 = cfg.b2._convolve(a2 * a2) if use2 else None
+        total = _half_sq_norm(y - both)
         if use0:
             total += cfg.lam0 * _penalty_from_sums(s0, cfg.pen0)
         reg12 = 0.0
@@ -233,15 +238,15 @@ def rtea_solve(y, cfg: SolverConfig, init=None) -> DecompositionResult:
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         if use0:
-            t = 1.0 + cfg.lam0 * _weights_from_sums(s0, mask0, n, cfg.pen0)
+            t = 1.0 + cfg.lam0 * _weights(b0, s0, n, cfg.pen0)
         else:
             t = np.ones_like(y)
         p1 = 2.0 * t
         p2 = 2.0 * t
         if use1:
-            p1 = p1 + cfg.lam1 * _weights_from_sums(s1, mask1, n, cfg.pen1)
+            p1 = p1 + cfg.lam1 * _weights(cfg.b1, s1, n, cfg.pen1)
         if use2:
-            p2 = p2 + cfg.lam2 * _weights_from_sums(s2, mask2, n, cfg.pen2)
+            p2 = p2 + cfg.lam2 * _weights(cfg.b2, s2, n, cfg.pen2)
         q1 = y + t * (x1 - x2)
         q2 = y + t * (x2 - x1)
         x1, x2 = q1 / p1, q2 / p2
@@ -283,22 +288,19 @@ def pogs_solve(
         raise ValueError("observation contains non-finite samples")
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
-    mask = _as_mask(b)
-    if mask.size > y.size:
-        raise ValueError(f"mask length {mask.size} exceeds signal length {y.size}")
+    _check_mask(b, y.size)
     x = y.copy()
 
     def sums_and_cost(a):
-        s = _group_sq_sums(a, mask)
-        resid = y - a
-        return s, 0.5 * float(np.dot(resid, resid)) + lam * _penalty_from_sums(s, spec)
+        s = b._convolve(a * a)
+        return s, _half_sq_norm(y - a) + lam * _penalty_from_sums(s, spec)
 
     s, c = sums_and_cost(x)
     costs = [c]
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        w = _weights_from_sums(s, mask, y.size, spec)
+        w = _weights(b, s, y.size, spec)
         x = y / (1.0 + lam * w)
         s, c = sums_and_cost(x)
         if not np.isfinite(c):

@@ -10,20 +10,25 @@ import numpy as np
 from rtea.penalties import majorizer_denom, smoothed_penalty
 
 
-def group_penalty_loops(x, b, spec):
-    """Double-loop group penalty over all window positions, zero-padded."""
+def window_sums_loops(x, b):
+    """Masked sums of x**2 at window positions -(K-1) .. N-1, zero-padded."""
     x = np.asarray(x, dtype=float)
     b = np.asarray(b, dtype=float)
     n_sig, k = len(x), len(b)
-    total = 0.0
+    sums = []
     for n in range(-(k - 1), n_sig):
         s = 0.0
         for j in range(k):
             i = n + j
             if 0 <= i < n_sig:
                 s += b[j] * x[i] ** 2
-        total += float(smoothed_penalty(np.sqrt(s), spec))
-    return total
+        sums.append(s)
+    return np.array(sums)
+
+
+def group_penalty_loops(x, b, spec):
+    """Double-loop group penalty over all window positions, zero-padded."""
+    return sum(float(smoothed_penalty(np.sqrt(s), spec)) for s in window_sums_loops(x, b))
 
 
 def combined_penalty_loops(x1, x2, k0, spec):

@@ -165,6 +165,24 @@ class TestExtract:
         assert run(["extract", tmp_path / "huge.csv", "--period1", 16,
                     "--period2", 25, "--out", tmp_path / "x"]) == 3
 
+    def test_nonfinite_input_is_usage_error(self, tmp_path, capsys):
+        y = np.random.default_rng(0).normal(size=256)
+        y[5] = np.nan
+        write_columns_csv(str(tmp_path / "nan.csv"), {"y": y})
+        assert run(["extract", tmp_path / "nan.csv", "--period1", 16,
+                    "--period2", 25, "--out", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite input" in err and "y[5] = nan" in err
+        assert "sigma" not in err
+
+    @pytest.mark.parametrize("mode", ["rtea", "pogs"])
+    def test_mask_longer_than_signal_is_usage_error(self, tmp_path, capsys, mode):
+        write_columns_csv(str(tmp_path / "short.csv"), {"y": np.array([0.1, -0.4, 0.3])})
+        # n1 = 3, m = 4 at period 7: a 31-sample mask over 3 samples
+        assert run(["extract", tmp_path / "short.csv", "--mode", mode, "--period1", 7,
+                    "--period2", 9, "--out", tmp_path / "x"]) == 2
+        assert "mask length 31 exceeds signal length 3" in capsys.readouterr().err
+
     def test_single_column_headerless_csv(self, tmp_path):
         rng = np.random.default_rng(0)
         path = tmp_path / "raw.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtea.penalties import PenaltySpec, smoothed_penalty
 from rtea.regularizers import (
@@ -11,7 +13,7 @@ from rtea.regularizers import (
     majorizer_weights,
 )
 
-from oracles import combined_weights_loops, group_penalty_loops, weights_loops
+from oracles import combined_weights_loops, group_penalty_loops, weights_loops, window_sums_loops
 
 ABS = PenaltySpec("abs")
 
@@ -61,6 +63,43 @@ class TestWeightArray:
             WeightArray(2, 3, 0)  # single run must have n0 == 0
 
 
+@st.composite
+def mask_and_signal(draw):
+    """A WeightArray (m = 0 and n0 = 0 included) and a signal of K to 3K
+    samples whose magnitudes span 16 decades."""
+    n1 = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 3))
+    n0 = draw(st.integers(0, 5)) if m else 0
+    b = WeightArray(n1, n0, m)
+    n = draw(st.integers(len(b), 3 * len(b)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    return b, x
+
+
+class TestPeriodicConvolution:
+    @settings(max_examples=60, deadline=None)
+    @given(case=mask_and_signal())
+    def test_window_sums_match_loops(self, case):
+        b, x = case
+        sums = b._convolve(x * x)
+        assert np.all(sums >= 0)
+        np.testing.assert_allclose(sums, window_sums_loops(x, b.array), rtol=1e-12, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=mask_and_signal(),
+        family=st.sampled_from(["abs", "log", "rat", "atan"]),
+        a=st.floats(0.05, 2.0),
+    )
+    def test_weights_match_loops(self, case, family, a):
+        b, x = case
+        spec = PenaltySpec(family, 0.0 if family == "abs" else a, eps=1e-8)
+        np.testing.assert_allclose(
+            majorizer_weights(x, b, spec), weights_loops(x, b.array, spec), rtol=1e-12, atol=0
+        )
+
+
 class TestGroupPenalty:
     def test_zero_signal_floor(self):
         spec = PenaltySpec("abs", eps=1e-6)
@@ -83,7 +122,7 @@ class TestGroupPenalty:
         rng = np.random.default_rng(4)
         x = rng.normal(size=25)
         spec = PenaltySpec("abs", eps=1e-14)
-        val = group_penalty(x, np.ones(1), spec)
+        val = group_penalty(x, WeightArray.ones(1), spec)
         assert val == pytest.approx(np.sum(np.abs(x)), rel=1e-6)
 
     def test_matches_bruteforce(self):
@@ -110,10 +149,12 @@ class TestGroupPenalty:
             group_penalty(np.zeros(10), WeightArray(3, 29, 4), ABS)
 
     def test_bad_mask_rejected(self):
-        with pytest.raises(ValueError):
-            group_penalty(np.zeros(10), np.array([1.0, 0.5, 1.0]), ABS)
-        with pytest.raises(ValueError):
-            group_penalty(np.zeros(10), np.zeros(3), ABS)
+        # masks are WeightArrays only: no dense 0/1 array is accepted
+        for dense in (np.array([1.0, 0.5, 1.0]), np.zeros(3), np.ones(3)):
+            with pytest.raises(TypeError):
+                group_penalty(np.zeros(10), dense, ABS)
+            with pytest.raises(TypeError):
+                majorizer_weights(np.zeros(10), dense, ABS)
 
 
 class TestCombinedPenalty:
@@ -130,7 +171,7 @@ class TestCombinedPenalty:
         x = rng.normal(size=24)
         spec = PenaltySpec("log", 0.3, eps=1e-8)
         assert combined_penalty(x, np.zeros(24), 4, spec) == pytest.approx(
-            group_penalty(x, np.ones(4), spec), rel=1e-14
+            group_penalty(x, WeightArray.ones(4), spec), rel=1e-14
         )
 
     def test_impulse_against_bruteforce(self):
@@ -178,7 +219,7 @@ class TestWeights:
         spec = PenaltySpec("abs", eps=1e-6)
         np.testing.assert_array_equal(
             combined_majorizer_weights(z, 5, spec),
-            majorizer_weights(z, np.ones(5), spec),
+            majorizer_weights(z, WeightArray.ones(5), spec),
         )
 
     def test_masked_positions_contribute_nothing(self):
@@ -186,10 +227,10 @@ class TestWeights:
         z = np.zeros(20)
         z[4] = 1e6
         spec = PenaltySpec("abs", eps=1e-6)
-        b_gap = np.array([1.0, 0.0, 1.0])
-        b_solid = np.array([1.0, 1.0, 1.0])
+        b_gap = WeightArray(1, 1, 1)  # 1, 0, 1
+        b_solid = WeightArray.ones(3)
         r_gap = majorizer_weights(z, b_gap, spec)
-        slow = weights_loops(z, b_gap, spec)
+        slow = weights_loops(z, b_gap.array, spec)
         assert np.max(np.abs(r_gap - slow)) < 1e-12 * max(1.0, np.max(np.abs(slow)))
         assert not np.allclose(r_gap, majorizer_weights(z, b_solid, spec))
 

@@ -83,6 +83,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(lam1=-0.1)
 
+    def test_dense_mask_rejected(self):
+        with pytest.raises(TypeError):
+            small_config(b1=np.ones(3))
+
 
 class TestEvalCost:
     def test_zero_components(self):
@@ -289,6 +293,10 @@ class TestSolve:
         with pytest.raises(ValueError):
             rtea_solve(np.zeros(30), small_config(), init="warm")
 
+    def test_mask_longer_than_signal_rejected(self):
+        with pytest.raises(ValueError, match="mask length 25 exceeds signal length 20"):
+            rtea_solve(np.zeros(20), small_config())
+
 
 class TestModeReductions:
     def test_zero_lam0_is_two_term_objective(self):
@@ -367,6 +375,12 @@ class TestPogs:
     def test_invalid_lam(self):
         with pytest.raises(ValueError):
             pogs_solve(np.zeros(10), WeightArray.ones(2), 0.0, ABS)
+
+    def test_bad_mask_rejected(self):
+        with pytest.raises(TypeError):
+            pogs_solve(np.zeros(10), np.ones(2), 0.5, ABS)
+        with pytest.raises(ValueError, match="mask length 11 exceeds signal length 10"):
+            pogs_solve(np.zeros(10), WeightArray(3, 5, 1), 0.5, ABS)
 
 
 class TestCombinedMajorizerGap:
