@@ -6,7 +6,6 @@ repetition frequencies from envelope spectra.
 from .analysis import EnvelopeSpectrum, PeakReport, envelope_spectrum, find_peaks, rmse
 from .penalties import PenaltySpec, majorize_scalar, majorizer_denom, penalty, smoothed_penalty
 from .params import (
-    NoiseEstimate,
     PeriodSpec,
     beta_lookup,
     build_weight_array,
@@ -19,7 +18,6 @@ from .regularizers import (
     WeightArray,
     combined_majorizer_weights,
     combined_penalty,
-    group_majorizer_gap,
     group_penalty,
     majorizer_weights,
 )
@@ -28,11 +26,8 @@ from .solver import (
     NumericalError,
     SolverConfig,
     check_convexity,
-    combined_majorizer_gap,
-    eval_cost,
     pogs_solve,
     rtea_solve,
-    rtea_step,
 )
 from .synth import GeneratedTrain, Mixture, TransientTrain, add_awgn, gen_mixture, gen_train, gen_transient
 
@@ -43,7 +38,6 @@ __all__ = [
     "EnvelopeSpectrum",
     "GeneratedTrain",
     "Mixture",
-    "NoiseEstimate",
     "NumericalError",
     "PeakReport",
     "PenaltySpec",
@@ -56,18 +50,15 @@ __all__ = [
     "build_weight_array",
     "check_convexity",
     "choose_lambdas",
-    "combined_majorizer_gap",
     "combined_majorizer_weights",
     "combined_penalty",
     "default_config",
     "envelope_spectrum",
     "estimate_sigma",
-    "eval_cost",
     "find_peaks",
     "gen_mixture",
     "gen_train",
     "gen_transient",
-    "group_majorizer_gap",
     "group_penalty",
     "majorize_scalar",
     "majorizer_denom",
@@ -77,6 +68,5 @@ __all__ = [
     "pogs_solve",
     "rmse",
     "rtea_solve",
-    "rtea_step",
     "smoothed_penalty",
 ]

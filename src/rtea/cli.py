@@ -18,6 +18,7 @@ from .analysis import envelope_spectrum, find_peaks, rmse
 from .penalties import PenaltySpec
 from .params import (
     PeriodSpec,
+    _lambda_scale,
     beta_lookup,
     build_weight_array,
     default_config,
@@ -188,19 +189,25 @@ def _resolve_periods(args, cfg):
     return spec1, spec2
 
 
+def _require_finite(path, cols, name):
+    """The finite-sample check of every CSV column the CLI computes on."""
+    x = cols[name]
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"{path}: non-finite input: {bad.size} of {x.size} samples "
+            f"of {name}, the first {name}[{i}] = {x[i]}"
+        )
+
+
 def _read_observation(path):
     cols = fileio.read_columns_csv(path)
     if "y" not in cols:
         raise ValueError(
             f"{path}: expected a 'y' column (or a single-column CSV)"
         )
-    bad = np.flatnonzero(~np.isfinite(cols["y"]))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"{path}: non-finite input: {bad.size} of {cols['y'].size} samples "
-            f"of y, the first y[{i}] = {cols['y'][i]}"
-        )
+    _require_finite(path, cols, "y")
     truth = None
     if "x1_true" in cols and "x2_true" in cols:
         truth = (cols["x1_true"], cols["x2_true"])
@@ -217,7 +224,7 @@ def cmd_extract(args) -> int:
 
     y, truth = _read_observation(args.input)
     spec1, spec2 = _resolve_periods(args, cfg_file)
-    sigma = estimate_sigma(y).sigma
+    sigma = estimate_sigma(y)
     out = args.out
     os.makedirs(out, exist_ok=True)
 
@@ -241,7 +248,10 @@ def cmd_extract(args) -> int:
 
     if args.mode == "pogs":
         b = build_weight_array(spec1)
-        lam = args.lam if args.lam is not None else beta_lookup(spec1.n1, spec1.m) * sigma
+        if args.lam is not None:
+            lam = args.lam
+        else:
+            lam = beta_lookup(spec1.n1, spec1.m) * _lambda_scale(sigma)
         x, costs, iterations, converged = pogs_solve(
             y, b, lam, PenaltySpec(family=penalty, a=0.0), max_iter=max_iter, tol=tol,
             full_output=True,
@@ -378,6 +388,8 @@ def cmd_analyze(args) -> int:
             names = ["y"]
         else:
             raise ValueError(f"{args.input}: no x1/x2/y columns to analyze")
+    for name in names:
+        _require_finite(args.input, cols, name)
     out = args.out
     os.makedirs(out, exist_ok=True)
     report = {

@@ -78,11 +78,6 @@ class PeriodSpec:
         return int(round(self.period))
 
 
-@dataclass(frozen=True)
-class NoiseEstimate:
-    sigma: float
-
-
 def build_weight_array(spec: PeriodSpec) -> WeightArray:
     """Periodic binary mask for this period prior: length m*round(T) + n1."""
     return WeightArray(n1=spec.n1, n0=spec.period_int - spec.n1, m=spec.m)
@@ -113,13 +108,24 @@ def choose_lambdas(
     return lam0, lam1, lam2
 
 
-def estimate_sigma(y) -> NoiseEstimate:
+def estimate_sigma(y) -> float:
     """Robust noise level: median absolute deviation scaled for Gaussians."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 2:
         raise ValueError("need a 1-D signal with at least 2 samples")
     mad = float(np.median(np.abs(y - np.median(y))))
-    return NoiseEstimate(sigma=mad * MAD_TO_SIGMA)
+    return mad * MAD_TO_SIGMA
+
+
+def _lambda_scale(sigma: float) -> float:
+    """``sigma`` as the scale of the regularization weights: the one check,
+    on every path, that the noise estimate can scale them."""
+    if not sigma > 0:
+        raise ValueError(
+            f"noise estimate is {sigma}, which cannot scale the regularization "
+            "(the MAD estimate is zero when more than half of the samples are equal)"
+        )
+    return sigma
 
 
 def default_config(
@@ -147,7 +153,7 @@ def default_config(
     beta0 = beta_lookup(k0, 1)
     beta1 = beta_lookup(spec1.n1, spec1.m)
     beta2 = beta_lookup(spec2.n1, spec2.m)
-    sigma = estimate_sigma(y).sigma
+    sigma = _lambda_scale(estimate_sigma(y))
     lam0, lam1, lam2 = choose_lambdas(eta, beta0, beta1, beta2, sigma)
     _, bound = check_convexity(k0, lam0, 0.0)
     a0 = a0_fraction * bound
@@ -178,9 +184,7 @@ def mca_config(
     """Config without the coupling term (the eta -> 0 limit), all convex."""
     b1 = build_weight_array(spec1)
     b2 = build_weight_array(spec2)
-    sigma = estimate_sigma(y).sigma
-    if not sigma > 0:
-        raise ValueError("noise estimate is zero; cannot scale regularization")
+    sigma = _lambda_scale(estimate_sigma(y))
     lam1 = 0.5 * beta_lookup(spec1.n1, spec1.m) * sigma
     lam2 = 0.5 * beta_lookup(spec2.n1, spec2.m) * sigma
     convex = PenaltySpec("abs")

@@ -53,12 +53,6 @@ class WeightArray:
     def __len__(self) -> int:
         return self.m * (self.n1 + self.n0) + self.n1
 
-    @property
-    def array(self) -> np.ndarray:
-        """The 0/1 mask as a float array of length m*(n1+n0)+n1."""
-        unit = np.concatenate([np.ones(self.n1), np.zeros(self.n0)])
-        return np.concatenate([np.tile(unit, self.m), np.ones(self.n1)])
-
     @classmethod
     def ones(cls, k: int) -> "WeightArray":
         """All-ones mask of length k (a single group, no period structure)."""
@@ -148,18 +142,3 @@ def combined_majorizer_weights(z, k0: int, spec: PenaltySpec) -> np.ndarray:
         raise ValueError(f"group size k0 must be >= 1, got {k0}")
     return majorizer_weights(z, WeightArray.ones(k0), spec)
 
-
-def group_majorizer_gap(x, z, b, spec: PenaltySpec) -> float:
-    """Majorizer value minus the true group penalty, anchored at ``z``.
-
-    The additive constant is resolved by tangency (gap(z, z) == 0); the
-    result is nonnegative up to floating-point roundoff.
-    """
-    x = _as_signal(x)
-    z = _as_signal(z)
-    if x.size != z.size:
-        raise ValueError(f"length mismatch: {x.size} vs {z.size}")
-    w = majorizer_weights(z, b, spec)
-    quad_x = 0.5 * float(np.sum(w * x * x))
-    quad_z = 0.5 * float(np.sum(w * z * z))
-    return quad_x - quad_z + group_penalty(z, b, spec) - group_penalty(x, b, spec)

@@ -7,10 +7,16 @@ the convexity bound) and one periodic-mask group penalty per component.
 Each iteration minimizes a separable quadratic majorizer of the objective,
 so the cost is guaranteed nonincreasing.
 
-Degenerate modes come for free: ``lam0 = 0`` drops the coupling term (plain
-two-dictionary morphological decomposition), and :func:`pogs_solve` runs
-the single-component denoiser (all-ones mask = plain group-sparse
-denoising).
+The iteration exists once, in :func:`_mm`: it owns the cost history, the
+non-finite guard and the stop rule.  Each solver hands it a pair of
+closures: ``sums_and_cost`` evaluates the masked window sums and the cost
+at an iterate, and ``update`` turns those same sums into majorizer weights
+and the next iterate, so each iteration computes every masked sum once.
+:func:`rtea_solve` builds its pair from the config (:func:`eval_cost` and
+:func:`rtea_step` are that pair's cost and one update), and
+:func:`pogs_solve`, the single-component denoiser (all-ones mask = plain
+group-sparse denoising), builds its own.  ``lam0 = 0`` drops the coupling
+term (plain two-dictionary morphological decomposition).
 """
 
 from __future__ import annotations
@@ -20,17 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .penalties import PenaltySpec
-from .regularizers import (
-    WeightArray,
-    _as_signal,
-    _check_mask,
-    _penalty_from_sums,
-    _weights,
-    combined_majorizer_weights,
-    combined_penalty,
-    group_penalty,
-    majorizer_weights,
-)
+from .regularizers import WeightArray, _as_signal, _check_mask, _penalty_from_sums, _weights
 
 
 class NumericalError(RuntimeError):
@@ -133,51 +129,105 @@ class DecompositionResult:
         return float(self.cost_history[-1])
 
 
+def _observation(y) -> np.ndarray:
+    y = _as_signal(y)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observation contains non-finite samples")
+    return y
+
+
+def _mm(xs, sums_and_cost, update, max_iter: int, tol: float):
+    """The one majorize-minimize loop of both solvers.
+
+    ``sums_and_cost(*xs)`` returns the masked window sums at the iterate and
+    its cost; ``update(sums, *xs)`` minimizes the majorizer built from those
+    sums and returns the next iterate.  The sums computed for one iterate's
+    cost are thus reused for its majorizer weights.  Stops when the cost
+    changes by less than ``tol`` relative to ``max(cost, 1)``, and raises
+    :class:`NumericalError` on a non-finite cost.  Returns ``(xs,
+    cost_history, iterations, converged)``.
+    """
+    sums, c = sums_and_cost(*xs)
+    costs = [c]
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        xs = update(sums, *xs)
+        sums, c = sums_and_cost(*xs)
+        if not np.isfinite(c):
+            raise NumericalError(f"cost became non-finite at iteration {iterations}")
+        costs.append(c)
+        if abs(costs[-2] - c) / max(c, 1.0) < tol:
+            converged = True
+            break
+    return xs, np.asarray(costs), iterations, converged
+
+
+def _two_component(y: np.ndarray, cfg: SolverConfig):
+    """The ``(sums_and_cost, update)`` pair of the two-component objective."""
+    n = y.size
+    b0 = WeightArray.ones(cfg.k0)
+    for b in (b0, cfg.b1, cfg.b2):
+        _check_mask(b, n)
+    use0, use1, use2 = cfg.lam0 > 0, cfg.lam1 > 0, cfg.lam2 > 0
+
+    def sums_and_cost(x1, x2):
+        both = x1 + x2
+        s0 = b0._convolve(both * both) if use0 else None
+        s1 = cfg.b1._convolve(x1 * x1) if use1 else None
+        s2 = cfg.b2._convolve(x2 * x2) if use2 else None
+        total = _half_sq_norm(y - both)
+        if use0:
+            total += cfg.lam0 * _penalty_from_sums(s0, cfg.pen0)
+        # single parenthesized pair keeps the total invariant under a 1<->2 swap
+        reg12 = 0.0
+        if use1:
+            reg12 += cfg.lam1 * _penalty_from_sums(s1, cfg.pen1)
+        if use2:
+            reg12 += cfg.lam2 * _penalty_from_sums(s2, cfg.pen2)
+        return (s0, s1, s2), total + reg12
+
+    def update(sums, x1, x2):
+        # the majorizer is separable per sample: two elementwise divisions
+        s0, s1, s2 = sums
+        if use0:
+            t = 1.0 + cfg.lam0 * _weights(b0, s0, n, cfg.pen0)
+        else:
+            t = np.ones_like(y)
+        p1 = 2.0 * t
+        p2 = 2.0 * t
+        if use1:
+            p1 = p1 + cfg.lam1 * _weights(cfg.b1, s1, n, cfg.pen1)
+        if use2:
+            p2 = p2 + cfg.lam2 * _weights(cfg.b2, s2, n, cfg.pen2)
+        q1 = y + t * (x1 - x2)
+        q2 = y + t * (x2 - x1)
+        return q1 / p1, q2 / p2
+
+    return sums_and_cost, update
+
+
+def _components(y, x1, x2):
+    y, x1, x2 = _as_signal(y), _as_signal(x1), _as_signal(x2)
+    if not (y.size == x1.size == x2.size):
+        raise ValueError(f"length mismatch: y={y.size}, x1={x1.size}, x2={x2.size}")
+    return y, x1, x2
+
+
 def eval_cost(y, x1, x2, cfg: SolverConfig) -> float:
     """Objective value at (x1, x2): data term plus the three penalties."""
-    y = _as_signal(y)
-    x1 = _as_signal(x1)
-    x2 = _as_signal(x2)
-    if not (y.size == x1.size == x2.size):
-        raise ValueError(
-            f"length mismatch: y={y.size}, x1={x1.size}, x2={x2.size}"
-        )
-    total = _half_sq_norm(y - (x1 + x2))
-    if cfg.lam0 > 0:
-        total += cfg.lam0 * combined_penalty(x1, x2, cfg.k0, cfg.pen0)
-    # single parenthesized pair keeps the total invariant under a 1<->2 swap
-    reg12 = 0.0
-    if cfg.lam1 > 0:
-        reg12 += cfg.lam1 * group_penalty(x1, cfg.b1, cfg.pen1)
-    if cfg.lam2 > 0:
-        reg12 += cfg.lam2 * group_penalty(x2, cfg.b2, cfg.pen2)
-    return total + reg12
+    y, x1, x2 = _components(y, x1, x2)
+    sums_and_cost, _ = _two_component(y, cfg)
+    return sums_and_cost(x1, x2)[1]
 
 
 def rtea_step(y, x1, x2, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """One majorize-minimize update of both components.
-
-    The majorizer is separable per sample, so the update is a pair of
-    elementwise divisions; the cost after the step never exceeds the cost
-    before it.
-    """
-    y = _as_signal(y)
-    x1 = _as_signal(x1)
-    x2 = _as_signal(x2)
-    if cfg.lam0 > 0:
-        r0 = combined_majorizer_weights(x1 + x2, cfg.k0, cfg.pen0)
-        t = 1.0 + cfg.lam0 * r0
-    else:
-        t = np.ones_like(y)
-    p1 = 2.0 * t
-    p2 = 2.0 * t
-    if cfg.lam1 > 0:
-        p1 = p1 + cfg.lam1 * majorizer_weights(x1, cfg.b1, cfg.pen1)
-    if cfg.lam2 > 0:
-        p2 = p2 + cfg.lam2 * majorizer_weights(x2, cfg.b2, cfg.pen2)
-    q1 = y + t * (x1 - x2)
-    q2 = y + t * (x2 - x1)
-    return q1 / p1, q2 / p2
+    """One majorize-minimize update of both components: the update of
+    :func:`rtea_solve`'s loop, so the cost after it never exceeds the cost
+    before it."""
+    y, x1, x2 = _components(y, x1, x2)
+    sums_and_cost, update = _two_component(y, cfg)
+    return update(sums_and_cost(x1, x2)[0], x1, x2)
 
 
 def _resolve_init(y, init):
@@ -199,69 +249,23 @@ def rtea_solve(y, cfg: SolverConfig, init=None) -> DecompositionResult:
     """Decompose ``y`` into two repetitive group-sparse components.
 
     Starts from ``x1 = x2 = y`` unless ``init`` is ``"zeros"`` or an
-    explicit pair, and iterates :func:`rtea_step` until the relative cost
-    change drops below ``cfg.tol`` or ``cfg.max_iter`` is reached.
-
-    The loop body is a fused form of :func:`rtea_step` + :func:`eval_cost`:
-    the masked sliding sums computed for the cost at one iterate are reused
-    for the next iterate's majorizer weights, saving a third of the
-    convolutions.  The iterates are identical to stepping manually.
+    explicit pair, and runs the majorize-minimize loop until the cost
+    changes by less than ``cfg.tol`` relative to ``max(cost, 1)`` or
+    ``cfg.max_iter`` iterations are done.  Each iteration is one
+    :func:`rtea_step`, and the cost history holds :func:`eval_cost` at every
+    iterate: both are the loop's own update and cost, so stepping manually
+    gives the same iterates bit for bit.
     """
-    y = _as_signal(y)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation contains non-finite samples")
-    x1, x2 = _resolve_init(y, init)
-    n = y.size
-    b0 = WeightArray.ones(cfg.k0)
-    for b in (b0, cfg.b1, cfg.b2):
-        _check_mask(b, n)
-    use0, use1, use2 = cfg.lam0 > 0, cfg.lam1 > 0, cfg.lam2 > 0
-
-    def sums_and_cost(a1, a2):
-        both = a1 + a2
-        s0 = b0._convolve(both * both) if use0 else None
-        s1 = cfg.b1._convolve(a1 * a1) if use1 else None
-        s2 = cfg.b2._convolve(a2 * a2) if use2 else None
-        total = _half_sq_norm(y - both)
-        if use0:
-            total += cfg.lam0 * _penalty_from_sums(s0, cfg.pen0)
-        reg12 = 0.0
-        if use1:
-            reg12 += cfg.lam1 * _penalty_from_sums(s1, cfg.pen1)
-        if use2:
-            reg12 += cfg.lam2 * _penalty_from_sums(s2, cfg.pen2)
-        return s0, s1, s2, total + reg12
-
-    s0, s1, s2, c = sums_and_cost(x1, x2)
-    costs = [c]
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        if use0:
-            t = 1.0 + cfg.lam0 * _weights(b0, s0, n, cfg.pen0)
-        else:
-            t = np.ones_like(y)
-        p1 = 2.0 * t
-        p2 = 2.0 * t
-        if use1:
-            p1 = p1 + cfg.lam1 * _weights(cfg.b1, s1, n, cfg.pen1)
-        if use2:
-            p2 = p2 + cfg.lam2 * _weights(cfg.b2, s2, n, cfg.pen2)
-        q1 = y + t * (x1 - x2)
-        q2 = y + t * (x2 - x1)
-        x1, x2 = q1 / p1, q2 / p2
-        s0, s1, s2, c = sums_and_cost(x1, x2)
-        if not np.isfinite(c):
-            raise NumericalError(f"cost became non-finite at iteration {iterations}")
-        costs.append(c)
-        if abs(costs[-2] - c) / max(c, 1.0) < cfg.tol:
-            converged = True
-            break
+    y = _observation(y)
+    sums_and_cost, update = _two_component(y, cfg)
+    (x1, x2), costs, iterations, converged = _mm(
+        _resolve_init(y, init), sums_and_cost, update, cfg.max_iter, cfg.tol
+    )
     return DecompositionResult(
         x1=x1,
         x2=x2,
         residual=y - x1 - x2,
-        cost_history=np.asarray(costs),
+        cost_history=costs,
         iterations=iterations,
         converged=converged,
     )
@@ -278,61 +282,25 @@ def pogs_solve(
 ):
     """Single-component group-sparse denoiser (periodic or plain mask).
 
-    Minimizes ``0.5*||y - x||^2 + lam * group_penalty(x, b, spec)`` by the
-    same majorize-minimize scheme; with an all-ones mask this is the plain
-    overlapping group-sparsity denoiser.  Returns the denoised signal, or
-    ``(x, cost_history, iterations, converged)`` with ``full_output``.
+    Minimizes ``0.5*||y - x||^2 + lam * group_penalty(x, b, spec)`` with the
+    same majorize-minimize loop and stop rule as :func:`rtea_solve`; with an
+    all-ones mask this is the plain overlapping group-sparsity denoiser.
+    Returns the denoised signal, or ``(x, cost_history, iterations,
+    converged)`` with ``full_output``.
     """
-    y = _as_signal(y)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation contains non-finite samples")
+    y = _observation(y)
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
     _check_mask(b, y.size)
-    x = y.copy()
 
-    def sums_and_cost(a):
-        s = b._convolve(a * a)
-        return s, _half_sq_norm(y - a) + lam * _penalty_from_sums(s, spec)
+    def sums_and_cost(x):
+        s = b._convolve(x * x)
+        return s, _half_sq_norm(y - x) + lam * _penalty_from_sums(s, spec)
 
-    s, c = sums_and_cost(x)
-    costs = [c]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w = _weights(b, s, y.size, spec)
-        x = y / (1.0 + lam * w)
-        s, c = sums_and_cost(x)
-        if not np.isfinite(c):
-            raise NumericalError(f"cost became non-finite at iteration {iterations}")
-        costs.append(c)
-        if abs(costs[-2] - c) / max(c, 1.0) < tol:
-            converged = True
-            break
+    def update(s, x):
+        return (y / (1.0 + lam * _weights(b, s, y.size, spec)),)
+
+    (x,), costs, iterations, converged = _mm((y.copy(),), sums_and_cost, update, max_iter, tol)
     if full_output:
-        return x, np.asarray(costs), iterations, converged
+        return x, costs, iterations, converged
     return x
-
-
-def combined_majorizer_gap(x1, x2, z1, z2, k0: int, spec: PenaltySpec) -> float:
-    """Majorizer of the sum-coupling penalty minus the penalty itself.
-
-    Anchored at (z1, z2) with the constant resolved by tangency, so the gap
-    is zero at (x1, x2) == (z1, z2) and nonnegative everywhere else (up to
-    roundoff).
-    """
-    x1 = _as_signal(x1)
-    x2 = _as_signal(x2)
-    z1 = _as_signal(z1)
-    z2 = _as_signal(z2)
-    if not (x1.size == x2.size == z1.size == z2.size):
-        raise ValueError("all four signals must share one length")
-    r0 = combined_majorizer_weights(z1 + z2, k0, spec)
-    d = z1 - z2
-
-    def quad(a1, a2):
-        return float(np.sum(r0 * (a1 * a1 + a2 * a2 - d * a1 + d * a2)))
-
-    gap = quad(x1, x2) - quad(z1, z2)
-    gap += combined_penalty(z1, z2, k0, spec) - combined_penalty(x1, x2, k0, spec)
-    return gap

@@ -1,13 +1,27 @@
 """Independent brute-force reference implementations used by the tests.
 
-Everything here is written as plain nested loops straight from the
-definitions, deliberately avoiding the convolution/sliding-window code
-paths used by the package.
+The sums, penalties and weights are written as plain nested loops straight
+from the definitions, deliberately avoiding the convolution/sliding-window
+code paths used by the package.  The gradient and the majorizer gaps at the
+end are built from the package's public regularizer functions; they test
+identities that must hold between those functions.
 """
 
 import numpy as np
 
 from rtea.penalties import majorizer_denom, smoothed_penalty
+from rtea.regularizers import (
+    combined_majorizer_weights,
+    combined_penalty,
+    group_penalty,
+    majorizer_weights,
+)
+
+
+def dense_mask(b):
+    """The 0/1 mask of a ``WeightArray`` as a float array of length len(b)."""
+    unit = np.concatenate([np.ones(b.n1), np.zeros(b.n0)])
+    return np.concatenate([np.tile(unit, b.m), np.ones(b.n1)])
 
 
 def window_sums_loops(x, b):
@@ -70,16 +84,14 @@ def cost_loops(y, x1, x2, cfg):
     if cfg.lam0:
         total += cfg.lam0 * combined_penalty_loops(x1, x2, cfg.k0, cfg.pen0)
     if cfg.lam1:
-        total += cfg.lam1 * group_penalty_loops(x1, cfg.b1.array, cfg.pen1)
+        total += cfg.lam1 * group_penalty_loops(x1, dense_mask(cfg.b1), cfg.pen1)
     if cfg.lam2:
-        total += cfg.lam2 * group_penalty_loops(x2, cfg.b2.array, cfg.pen2)
+        total += cfg.lam2 * group_penalty_loops(x2, dense_mask(cfg.b2), cfg.pen2)
     return total
 
 
 def analytic_gradient(y, x1, x2, cfg):
     """Gradient of the smooth objective, from the weight identities."""
-    from rtea.regularizers import combined_majorizer_weights, majorizer_weights
-
     resid = -(y - x1 - x2)
     g0 = 0.0
     if cfg.lam0:
@@ -87,3 +99,36 @@ def analytic_gradient(y, x1, x2, cfg):
     g1 = resid + g0 + cfg.lam1 * majorizer_weights(x1, cfg.b1, cfg.pen1) * x1
     g2 = resid + g0 + cfg.lam2 * majorizer_weights(x2, cfg.b2, cfg.pen2) * x2
     return g1, g2
+
+
+def group_majorizer_gap(x, z, b, spec):
+    """Majorizer value minus the true group penalty, anchored at ``z``.
+
+    The additive constant is resolved by tangency (gap(z, z) == 0); the
+    result is nonnegative up to floating-point roundoff.
+    """
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    w = majorizer_weights(z, b, spec)
+    quad_x = 0.5 * float(np.sum(w * x * x))
+    quad_z = 0.5 * float(np.sum(w * z * z))
+    return quad_x - quad_z + group_penalty(z, b, spec) - group_penalty(x, b, spec)
+
+
+def combined_majorizer_gap(x1, x2, z1, z2, k0, spec):
+    """Majorizer of the sum-coupling penalty minus the penalty itself.
+
+    Anchored at (z1, z2) with the constant resolved by tangency, so the gap
+    is zero at (x1, x2) == (z1, z2) and nonnegative everywhere else (up to
+    roundoff).
+    """
+    x1, x2, z1, z2 = (np.asarray(v, dtype=float) for v in (x1, x2, z1, z2))
+    r0 = combined_majorizer_weights(z1 + z2, k0, spec)
+    d = z1 - z2
+
+    def quad(a1, a2):
+        return float(np.sum(r0 * (a1 * a1 + a2 * a2 - d * a1 + d * a2)))
+
+    gap = quad(x1, x2) - quad(z1, z2)
+    gap += combined_penalty(z1, z2, k0, spec) - combined_penalty(x1, x2, k0, spec)
+    return gap

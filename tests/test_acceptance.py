@@ -18,10 +18,10 @@ from rtea.params import (
 )
 from rtea.penalties import PenaltySpec, majorize_scalar, smoothed_penalty
 from rtea.regularizers import WeightArray, combined_majorizer_weights, majorizer_weights
-from rtea.solver import SolverConfig, check_convexity, combined_majorizer_gap, rtea_solve
+from rtea.solver import SolverConfig, check_convexity, rtea_solve
 from rtea.synth import TransientTrain, gen_mixture, gen_train
 
-from oracles import combined_weights_loops, weights_loops
+from oracles import combined_majorizer_gap, combined_weights_loops, dense_mask, weights_loops
 
 FAMILIES = ("abs", "log", "rat", "atan")
 
@@ -171,7 +171,7 @@ def test_c3_weight_oracle_equivalence():
             if len(b) > n:
                 b = WeightArray.ones(3)
             fast = majorizer_weights(z, b, spec)
-            slow = weights_loops(z, b.array, spec)
+            slow = weights_loops(z, dense_mask(b), spec)
         else:
             k0 = int(rng.integers(1, 6))
             fast = combined_majorizer_weights(z, k0, spec)
@@ -309,7 +309,7 @@ def test_c8_noise_estimator_accuracy():
     details = []
     for i, sigma in enumerate((0.1, 1.0, 10.0)):
         rng = np.random.default_rng(800 + i)
-        est = estimate_sigma(rng.normal(0.0, sigma, size=100_000)).sigma
+        est = estimate_sigma(rng.normal(0.0, sigma, size=100_000))
         details.append(f"{sigma} -> {est:.4g}")
         ok &= abs(est - sigma) <= 0.05 * sigma
     report(8, "robust noise estimate within 5%", ok, ", ".join(details))

@@ -1,0 +1,45 @@
+"""The public API holds every name the benchmark imports.
+
+The benchmark (``bench/``) is a client of the package: each name it imports
+from ``rtea`` must stay public, so a trim of ``rtea.__all__`` that would
+break it fails here first.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import rtea
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def names_imported_from_rtea(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "rtea" and node.level == 0:
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+BENCH_FILES = sorted(BENCH.glob("*.py"))
+
+
+def test_bench_files_found():
+    assert any(names_imported_from_rtea(p) for p in BENCH_FILES)
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_imports_are_public(path):
+    for name in sorted(names_imported_from_rtea(path)):
+        # a submodule (``from rtea import fileio``) is public as a module
+        if importlib.util.find_spec(f"rtea.{name}") is None:
+            assert name in rtea.__all__, f"{path.name} imports rtea.{name}, not in __all__"
+
+
+def test_all_entries_resolve():
+    assert len(set(rtea.__all__)) == len(rtea.__all__)
+    for name in rtea.__all__:
+        assert hasattr(rtea, name), name

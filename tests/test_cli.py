@@ -158,12 +158,35 @@ class TestExtract:
                     "--period2", 53, "--out", tmp_path / "x"]) == 4
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_overflowing_input_is_numerical_failure(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["rtea", "mca", "pogs"])
+    def test_overflowing_input_is_numerical_failure(self, tmp_path, capsys, mode):
         n = 256
         y = 1e200 * np.random.default_rng(0).normal(size=n)
         write_columns_csv(str(tmp_path / "huge.csv"), {"y": y})
-        assert run(["extract", tmp_path / "huge.csv", "--period1", 16,
+        assert run(["extract", tmp_path / "huge.csv", "--mode", mode, "--period1", 16,
                     "--period2", 25, "--out", tmp_path / "x"]) == 3
+        assert "cost became non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["rtea", "mca", "pogs"])
+    def test_zero_noise_estimate_is_usage_error(self, tmp_path, capsys, mode):
+        # more than half the samples equal: the MAD noise estimate is 0
+        y = np.zeros(400)
+        y[::40] = 1.0
+        write_columns_csv(str(tmp_path / "impulses.csv"), {"y": y})
+        assert run(["extract", tmp_path / "impulses.csv", "--mode", mode,
+                    "--period1", 40, "--period2", 53, "--out", tmp_path / "o"]) == 2
+        # one message, from the one check every mode goes through
+        assert capsys.readouterr().err.startswith("error: noise estimate is 0.0, ")
+
+    def test_zero_noise_estimate_with_explicit_lam_runs(self, tmp_path):
+        y = np.zeros(400)
+        y[::40] = 1.0
+        write_columns_csv(str(tmp_path / "impulses.csv"), {"y": y})
+        out = tmp_path / "o"
+        assert run(["extract", tmp_path / "impulses.csv", "--mode", "pogs",
+                    "--period1", 40, "--lam", 0.5, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["sigma_hat"] == 0.0 and manifest["metrics"]["converged"]
 
     def test_nonfinite_input_is_usage_error(self, tmp_path, capsys):
         y = np.random.default_rng(0).normal(size=256)
@@ -242,6 +265,20 @@ class TestAnalyze:
         report = json.loads((out / "peaks.json").read_text())
         assert report["components"]["x1"]["peaks"] == []
         assert report["components"]["x1"]["fundamental_hz"] is None
+
+
+    def test_nonfinite_component_is_usage_error(self, tmp_path, capsys):
+        x1 = np.array([0.1, np.nan, 0.3, -0.2])
+        write_columns_csv(
+            str(tmp_path / "components.csv"),
+            {"index": np.arange(4), "x1": x1, "x2": np.zeros(4)},
+        )
+        out = tmp_path / "an"
+        assert run(["analyze", tmp_path / "components.csv", "--fs", 1000,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite input" in err and "x1[1] = nan" in err
+        assert not (out / "peaks.json").exists()
 
 
 class TestBenchEta:

@@ -8,12 +8,18 @@ from rtea.regularizers import (
     WeightArray,
     combined_majorizer_weights,
     combined_penalty,
-    group_majorizer_gap,
     group_penalty,
     majorizer_weights,
 )
 
-from oracles import combined_weights_loops, group_penalty_loops, weights_loops, window_sums_loops
+from oracles import (
+    combined_weights_loops,
+    dense_mask,
+    group_majorizer_gap,
+    group_penalty_loops,
+    weights_loops,
+    window_sums_loops,
+)
 
 ABS = PenaltySpec("abs")
 
@@ -30,7 +36,7 @@ class TestWeightArray:
     def test_example_pattern(self):
         w = WeightArray(n1=3, n0=29, m=4)
         assert len(w) == 131
-        assert w.array.sum() == 15
+        assert dense_mask(w).sum() == 15
         assert w.period == 32
 
     def test_structure_randomized(self):
@@ -40,7 +46,7 @@ class TestWeightArray:
             n0 = int(rng.integers(1, 8))
             m = int(rng.integers(1, 5))
             w = WeightArray(n1, n0, m)
-            arr = w.array
+            arr = dense_mask(w)
             assert len(arr) == m * (n1 + n0) + n1
             assert arr.sum() == (m + 1) * n1
             # begins and ends with a ones-run
@@ -51,7 +57,7 @@ class TestWeightArray:
 
     def test_ones(self):
         w = WeightArray.ones(4)
-        np.testing.assert_array_equal(w.array, np.ones(4))
+        np.testing.assert_array_equal(dense_mask(w), np.ones(4))
         assert len(w) == 4
 
     def test_invalid(self):
@@ -84,7 +90,7 @@ class TestPeriodicConvolution:
         b, x = case
         sums = b._convolve(x * x)
         assert np.all(sums >= 0)
-        np.testing.assert_allclose(sums, window_sums_loops(x, b.array), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sums, window_sums_loops(x, dense_mask(b)), rtol=1e-12, atol=0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -96,7 +102,7 @@ class TestPeriodicConvolution:
         b, x = case
         spec = PenaltySpec(family, 0.0 if family == "abs" else a, eps=1e-8)
         np.testing.assert_allclose(
-            majorizer_weights(x, b, spec), weights_loops(x, b.array, spec), rtol=1e-12, atol=0
+            majorizer_weights(x, b, spec), weights_loops(x, dense_mask(b), spec), rtol=1e-12, atol=0
         )
 
 
@@ -131,7 +137,7 @@ class TestGroupPenalty:
         b = WeightArray(2, 3, 2)
         spec = PenaltySpec("atan", 0.4, eps=1e-8)
         assert group_penalty(x, b, spec) == pytest.approx(
-            group_penalty_loops(x, b.array, spec), rel=1e-12
+            group_penalty_loops(x, dense_mask(b), spec), rel=1e-12
         )
 
     def test_scaling_homogeneity_near_zero_eps(self):
@@ -202,7 +208,7 @@ class TestWeights:
         b = WeightArray(2, 4, 2)
         spec = PenaltySpec("rat", 0.6, eps=1e-8)
         fast = majorizer_weights(z, b, spec)
-        slow = weights_loops(z, b.array, spec)
+        slow = weights_loops(z, dense_mask(b), spec)
         assert np.max(np.abs(fast - slow)) < 1e-12 * max(1.0, np.max(np.abs(slow)))
 
     def test_combined_matches_bruteforce(self):
@@ -230,7 +236,7 @@ class TestWeights:
         b_gap = WeightArray(1, 1, 1)  # 1, 0, 1
         b_solid = WeightArray.ones(3)
         r_gap = majorizer_weights(z, b_gap, spec)
-        slow = weights_loops(z, b_gap.array, spec)
+        slow = weights_loops(z, dense_mask(b_gap), spec)
         assert np.max(np.abs(r_gap - slow)) < 1e-12 * max(1.0, np.max(np.abs(slow)))
         assert not np.allclose(r_gap, majorizer_weights(z, b_solid, spec))
 
@@ -254,7 +260,7 @@ class TestWeights:
                 b = WeightArray.ones(min(3, n))
             z = rng.normal(size=n)
             fast = majorizer_weights(z, b, spec)
-            slow = weights_loops(z, b.array, spec)
+            slow = weights_loops(z, dense_mask(b), spec)
             assert np.max(np.abs(fast - slow)) < 1e-12 * max(1.0, np.max(np.abs(slow)))
 
 

@@ -7,7 +7,6 @@ from rtea.solver import (
     DecompositionResult,
     SolverConfig,
     check_convexity,
-    combined_majorizer_gap,
     eval_cost,
     pogs_solve,
     rtea_solve,
@@ -16,7 +15,7 @@ from rtea.solver import (
 from rtea.synth import gen_mixture, gen_train, TransientTrain
 from rtea.analysis import rmse
 
-from oracles import analytic_gradient, cost_loops
+from oracles import analytic_gradient, combined_majorizer_gap, cost_loops
 
 ABS = PenaltySpec("abs")
 
