@@ -1,11 +1,17 @@
-"""Diagnostics: RMSE, Hilbert envelope spectra and peak identification."""
+"""Diagnostics: RMSE, Hilbert envelope spectra and peak identification.
+
+numpy only.  The envelope is the magnitude of the analytic signal, built by
+the one-sided FFT construction (Marple, IEEE TSP 47(9), 1999).  Peaks are
+the local maxima of the smoothed envelope spectrum: a flat top counts once,
+at its midpoint (rounded down), and neither end of the profile is ever a
+maximum.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 
 def rmse(a, b) -> float:
@@ -36,6 +42,18 @@ def _moving_average(v: np.ndarray, width: int) -> np.ndarray:
     return np.convolve(v, kernel, mode="same")
 
 
+def _analytic_signal(x: np.ndarray) -> np.ndarray:
+    # keep DC (and Nyquist for even n), double the positive bins, zero the
+    # negative ones; the real part of the result is x itself
+    n = x.size
+    h = np.zeros(n)
+    h[0] = 1.0
+    if n % 2 == 0:
+        h[n // 2] = 1.0
+    h[1 : (n + 1) // 2] = 2.0
+    return np.fft.ifft(np.fft.fft(x) * h)
+
+
 def envelope_spectrum(x, fs: float, nfft: int | None = None, smooth_hz: float = 2.0) -> EnvelopeSpectrum:
     """Envelope spectrum of ``x``: analytic-signal magnitude, mean removed,
     Fourier magnitude on ``nfft`` points, plus a lowpass-smoothed profile.
@@ -54,7 +72,7 @@ def envelope_spectrum(x, fs: float, nfft: int | None = None, smooth_hz: float = 
         nfft = x.size
     if nfft < x.size:
         raise ValueError(f"nfft = {nfft} is below the signal length {x.size}")
-    env = np.abs(scipy.signal.hilbert(x))
+    env = np.abs(_analytic_signal(x))
     env = env - env.mean()
     magnitude = np.abs(np.fft.rfft(env, n=nfft))
     freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
@@ -83,11 +101,18 @@ class PeakReport:
 
 
 def _local_maxima(v: np.ndarray) -> np.ndarray:
-    # scipy handles flat-topped peaks (returns plateau midpoints), which a
-    # moving-averaged impulse produces; a strict two-sided test would miss
-    # them entirely
-    peaks, _ = scipy.signal.find_peaks(v)
-    return peaks
+    # A moving-averaged impulse has a flat top, which a strict two-sided
+    # test would miss.  Skipping the zero steps, a maximum is a rise followed
+    # by a fall; the plateau between them (left..right) reports its midpoint
+    # (left + right) // 2.  A plateau touching either end has no rise or no
+    # fall on that side, so edges are never maxima.
+    d = np.diff(v)
+    steps = np.flatnonzero(d)
+    rise = d[steps] > 0
+    top = np.flatnonzero(rise[:-1] & ~rise[1:])
+    left = steps[top] + 1
+    right = steps[top + 1]
+    return (left + right) // 2
 
 
 def find_peaks(

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rtea.analysis import EnvelopeSpectrum, envelope_spectrum, find_peaks, rmse
+from rtea.analysis import (
+    EnvelopeSpectrum,
+    _analytic_signal,
+    _local_maxima,
+    envelope_spectrum,
+    find_peaks,
+    rmse,
+)
 from rtea.synth import TransientTrain, gen_train
 
 
@@ -35,13 +45,11 @@ class TestEnvelopeSpectrum:
         assert abs(peak - 45.0) <= spec.resolution_hz
 
     def test_pure_tone_has_flat_envelope(self):
-        import scipy.signal
-
         fs = 12800.0
         t = np.arange(int(fs)) / fs
         x = np.sin(2 * np.pi * 200.0 * t)
         spec = envelope_spectrum(x, fs)
-        env = np.abs(scipy.signal.hilbert(x))
+        env = np.abs(_analytic_signal(x))
         dc_level = float(np.sum(env))
         above = spec.freqs_hz > 1.0
         assert np.max(spec.magnitude[above]) < 0.01 * dc_level
@@ -64,11 +72,9 @@ class TestEnvelopeSpectrum:
 
     def test_analytic_energy_dominates(self):
         rng = np.random.default_rng(3)
-        import scipy.signal
-
         for _ in range(10):
             x = rng.normal(size=256)
-            analytic = scipy.signal.hilbert(x)
+            analytic = _analytic_signal(x)
             assert np.sum(np.abs(analytic) ** 2) >= np.sum(x * x) - 1e-9
 
     def test_smoothing_preserves_area(self):
@@ -85,6 +91,33 @@ class TestEnvelopeSpectrum:
     def test_bad_fs_rejected(self):
         with pytest.raises(ValueError):
             envelope_spectrum(np.zeros(100), 0.0)
+
+
+class TestScipyEquivalence:
+    """The numpy analytic signal and local maxima against scipy.signal."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.one_of(st.integers(2, 64), st.integers(65, 5000)),
+        exponent=st.integers(-8, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_analytic_signal_matches_hilbert(self, n, exponent, seed):
+        x = np.random.default_rng(seed).normal(size=n) * 10.0**exponent
+        expected = scipy.signal.hilbert(x)
+        got = _analytic_signal(x)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        runs=st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 6)), max_size=20),
+        length=st.integers(0, 40),
+    )
+    def test_local_maxima_match_find_peaks(self, runs, length):
+        # runs of equal values put plateaus in the interior and at both ends
+        values = [v for v, k in runs for _ in range(k)][:length]
+        v = np.array(values, dtype=float)
+        np.testing.assert_array_equal(_local_maxima(v), scipy.signal.find_peaks(v)[0])
 
 
 class TestFindPeaks:

@@ -2,11 +2,15 @@
 
 The benchmark (``bench/``) is a client of the package: each name it imports
 from ``rtea`` must stay public, so a trim of ``rtea.__all__`` that would
-break it fails here first.
+break it fails here first.  The package also imports without scipy, which
+would add over a second to every cold CLI run.
 """
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,15 @@ def test_all_entries_resolve():
     assert len(set(rtea.__all__)) == len(rtea.__all__)
     for name in rtea.__all__:
         assert hasattr(rtea, name), name
+
+
+def test_cold_import_leaves_scipy_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(rtea.__file__).resolve().parent.parent))
+    code = (
+        "import sys, rtea, rtea.cli\n"
+        "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == ""

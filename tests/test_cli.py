@@ -233,6 +233,23 @@ class TestAnalyze:
         for name in ("x1", "x2"):
             assert (out_an / f"spectrum_{name}.csv").exists()
 
+    def test_outputs_are_deterministic(self, generated, tmp_path):
+        out = tmp_path / "ext"
+        assert run(["extract", generated / "signal.csv", "--period1", 32,
+                    "--period2", 53, "--max-iter", 30, "--out", out]) == 0
+        written = []
+        for _ in range(2):
+            assert run(["analyze", out / "components.csv", "--fs", 12800,
+                        "--band", 100, 2000, "--nfft", 4096, "--out", tmp_path / "an"]) == 0
+            files = {f: read_bytes(tmp_path / "an" / f)
+                     for f in ("peaks.json", "spectrum_x1.csv", "spectrum_x2.csv")}
+            # the report's wall-clock timestamp is the only line allowed to differ
+            files["peaks.json"] = b"".join(
+                line for line in files["peaks.json"].splitlines(keepends=True)
+                if not line.lstrip().startswith(b'"timestamp"'))
+            written.append(files)
+        assert written[0] == written[1]
+
     def test_plain_signal_column(self, tmp_path):
         fs = 1000.0
         t = np.arange(2000) / fs
