@@ -3,13 +3,12 @@ periodic group-sparse components plus residual, and identify their
 repetition frequencies from envelope spectra.
 """
 
-from .analysis import EnvelopeSpectrum, PeakReport, envelope_spectrum, find_peaks, rmse
-from .penalties import PenaltySpec, majorize_scalar, majorizer_denom, penalty, smoothed_penalty
+from .analysis import EnvelopeSpectrum, envelope_spectrum, find_peaks, rmse
+from .penalties import PenaltySpec, majorizer_denom, penalty, smoothed_penalty
 from .params import (
     PeriodSpec,
     beta_lookup,
     build_weight_array,
-    choose_lambdas,
     default_config,
     estimate_sigma,
     mca_config,
@@ -17,7 +16,6 @@ from .params import (
 from .regularizers import (
     WeightArray,
     combined_majorizer_weights,
-    combined_penalty,
     group_penalty,
     majorizer_weights,
 )
@@ -29,17 +27,15 @@ from .solver import (
     pogs_solve,
     rtea_solve,
 )
-from .synth import GeneratedTrain, Mixture, TransientTrain, add_awgn, gen_mixture, gen_train, gen_transient
+from .synth import Mixture, TransientTrain, add_awgn, gen_mixture, gen_train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DecompositionResult",
     "EnvelopeSpectrum",
-    "GeneratedTrain",
     "Mixture",
     "NumericalError",
-    "PeakReport",
     "PenaltySpec",
     "PeriodSpec",
     "SolverConfig",
@@ -49,18 +45,14 @@ __all__ = [
     "beta_lookup",
     "build_weight_array",
     "check_convexity",
-    "choose_lambdas",
     "combined_majorizer_weights",
-    "combined_penalty",
     "default_config",
     "envelope_spectrum",
     "estimate_sigma",
     "find_peaks",
     "gen_mixture",
     "gen_train",
-    "gen_transient",
     "group_penalty",
-    "majorize_scalar",
     "majorizer_denom",
     "majorizer_weights",
     "mca_config",

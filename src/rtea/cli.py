@@ -40,7 +40,6 @@ CONFIG_KEYS = (
     "sample_rate_hz",
     "max_iter",
     "tol",
-    "seed",
 )
 
 
@@ -140,6 +139,17 @@ def _pick(flag_value, cfg, key, default):
     return default
 
 
+def _resolve_settings(args, cfg):
+    """The solver settings of extract and bench-eta, each from its flag,
+    else the config file, else the default."""
+    return {
+        "a0_fraction": float(_pick(args.a0_fraction, cfg, "a0_fraction", 0.5)),
+        "penalty": _pick(args.penalty, cfg, "penalty", "atan"),
+        "max_iter": int(_pick(args.max_iter, cfg, "max_iter", 200)),
+        "tol": float(_pick(args.tol, cfg, "tol", 1e-8)),
+    }
+
+
 def _pair(value, name):
     # Accept a scalar or a 2-list from the config file.
     if value is None:
@@ -217,10 +227,8 @@ def _read_observation(path):
 def cmd_extract(args) -> int:
     cfg_file = _load_config_file(args.config)
     eta = float(_pick(args.eta, cfg_file, "eta", 0.5))
-    a0_fraction = float(_pick(args.a0_fraction, cfg_file, "a0_fraction", 0.5))
-    penalty = _pick(args.penalty, cfg_file, "penalty", "atan")
-    max_iter = int(_pick(args.max_iter, cfg_file, "max_iter", 200))
-    tol = float(_pick(args.tol, cfg_file, "tol", 1e-8))
+    settings = _resolve_settings(args, cfg_file)
+    penalty, max_iter, tol = settings["penalty"], settings["max_iter"], settings["tol"]
 
     y, truth = _read_observation(args.input)
     spec1, spec2 = _resolve_periods(args, cfg_file)
@@ -233,14 +241,7 @@ def cmd_extract(args) -> int:
         "mode": args.mode,
         "input": {"path": args.input, "sha256": fileio.sha256_file(args.input)},
         "sigma_hat": sigma,
-        "settings": {
-            "eta": eta,
-            "a0_fraction": a0_fraction,
-            "penalty": penalty,
-            "max_iter": max_iter,
-            "tol": tol,
-            "init": args.init,
-        },
+        "settings": {"eta": eta, **settings, "init": args.init},
         "periods": [_period_snapshot(spec1)],
         "outputs": {},
         "metrics": {},
@@ -280,7 +281,7 @@ def cmd_extract(args) -> int:
                     "(x1 == x2) and the decomposition degrades"
                 )
             solver_cfg = default_config(
-                y, spec1, spec2, eta=eta, a0_fraction=a0_fraction,
+                y, spec1, spec2, eta=eta, a0_fraction=settings["a0_fraction"],
                 family=penalty, max_iter=max_iter, tol=tol,
             )
         manifest["periods"].append(_period_snapshot(spec2))
@@ -333,8 +334,6 @@ def cmd_extract(args) -> int:
         {"iteration": np.arange(cost_hist.size), "cost": cost_hist},
     )
     manifest["outputs"] = {"components": components_path, "cost": cost_path}
-    if args.plot:
-        manifest["outputs"]["plots"] = _plot_extract(out, y, columns, cost_hist)
     manifest["timestamp"] = fileio.utc_timestamp()
     fileio.write_json(os.path.join(out, "manifest.json"), manifest)
     _say(f"wrote {components_path}")
@@ -444,8 +443,6 @@ def cmd_analyze(args) -> int:
                 f"{name}: fundamental {fundamental:.4g} Hz, "
                 f"harmonic score {score:.2f}, rms {rms:.4g}"
             )
-        if args.plot:
-            report["outputs"][f"{name}_plot"] = _plot_spectrum(out, name, spec)
     report["timestamp"] = fileio.utc_timestamp()
     peaks_path = os.path.join(out, "peaks.json")
     fileio.write_json(peaks_path, report)
@@ -464,7 +461,9 @@ def cmd_bench_eta(args) -> int:
             f"{args.input}: ground-truth columns x1_true/x2_true are required "
             "for the eta sweep"
         )
-    spec1, spec2 = _resolve_periods(args, _load_config_file(args.config))
+    cfg_file = _load_config_file(args.config)
+    spec1, spec2 = _resolve_periods(args, cfg_file)
+    settings = _resolve_settings(args, cfg_file)
     x1t, x2t = truth
     etas = [float(v) for v in args.etas.split(",") if v.strip()]
     if not etas or not all(0.0 < e < 1.0 for e in etas):
@@ -472,8 +471,8 @@ def cmd_bench_eta(args) -> int:
     rows = {"eta": [], "rmse_x1": [], "rmse_x2": [], "rmse_sum": []}
     for eta in etas:
         cfg = default_config(
-            y, spec1, spec2, eta=eta, a0_fraction=args.a0_fraction,
-            max_iter=args.max_iter, tol=args.tol,
+            y, spec1, spec2, eta=eta, a0_fraction=settings["a0_fraction"],
+            family=settings["penalty"], max_iter=settings["max_iter"], tol=settings["tol"],
         )
         res = rtea_solve(y, cfg)
         rows["eta"].append(eta)
@@ -494,7 +493,7 @@ def cmd_bench_eta(args) -> int:
             "command": "bench-eta",
             "input": {"path": args.input, "sha256": fileio.sha256_file(args.input)},
             "etas": etas,
-            "a0_fraction": args.a0_fraction,
+            "a0_fraction": settings["a0_fraction"],
             "periods": [_period_snapshot(spec1), _period_snapshot(spec2)],
             "outputs": {"sweep": sweep_path},
             "timestamp": fileio.utc_timestamp(),
@@ -502,67 +501,6 @@ def cmd_bench_eta(args) -> int:
     )
     _say(f"wrote {sweep_path}")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# plotting (optional)
-
-
-def _require_matplotlib():
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError as exc:
-        raise ValueError(
-            "matplotlib is required for --plot; install the 'plot' extra"
-        ) from exc
-    return plt
-
-
-def _plot_extract(out, y, columns, cost_hist):
-    plt = _require_matplotlib()
-    paths = {}
-    names = [n for n in ("x1", "x2", "residual") if n in columns]
-    fig, axes = plt.subplots(len(names) + 1, 1, figsize=(9, 2 * (len(names) + 1)), sharex=True)
-    axes[0].plot(y, lw=0.6)
-    axes[0].set_ylabel("y")
-    for ax, name in zip(axes[1:], names):
-        ax.plot(columns[name], lw=0.6)
-        ax.set_ylabel(name)
-    axes[-1].set_xlabel("sample")
-    fig.tight_layout()
-    path = os.path.join(out, "components.svg")
-    fig.savefig(path)
-    plt.close(fig)
-    paths["components"] = path
-
-    fig, ax = plt.subplots(figsize=(6, 3))
-    ax.plot(np.arange(cost_hist.size), cost_hist, marker=".", lw=0.8)
-    ax.set_xlabel("iteration")
-    ax.set_ylabel("cost")
-    fig.tight_layout()
-    path = os.path.join(out, "cost.svg")
-    fig.savefig(path)
-    plt.close(fig)
-    paths["cost"] = path
-    return paths
-
-
-def _plot_spectrum(out, name, spec):
-    plt = _require_matplotlib()
-    fig, ax = plt.subplots(figsize=(8, 3))
-    ax.plot(spec.freqs_hz, spec.magnitude, lw=0.5, alpha=0.6, label="magnitude")
-    ax.plot(spec.freqs_hz, spec.smoothed, lw=1.2, label="smoothed")
-    ax.set_xlabel("frequency [Hz]")
-    ax.set_ylabel("envelope spectrum")
-    ax.legend()
-    fig.tight_layout()
-    path = os.path.join(out, f"spectrum_{name}.svg")
-    fig.savefig(path)
-    plt.close(fig)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--tol", type=float, default=None)
     e.add_argument("--init", choices=("observation", "zeros"), default=None)
     e.add_argument("--config", default=None, help="JSON config file; flags override it")
-    e.add_argument("--plot", action="store_true", help="emit SVG charts")
     e.add_argument("--out", default=DEFAULT_OUT)
     e.set_defaults(func=cmd_extract)
 
@@ -629,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--n-harmonics", dest="n_harmonics", type=int, default=5)
     a.add_argument("--tol-hz", dest="tol_hz", type=float, default=None)
     a.add_argument("--max-peaks", dest="max_peaks", type=int, default=10)
-    a.add_argument("--plot", action="store_true")
     a.add_argument("--out", default=DEFAULT_OUT)
     a.set_defaults(func=cmd_analyze)
 
@@ -643,12 +579,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--fs", type=float, default=None)
     b.add_argument("--n1", type=int, default=None)
     b.add_argument("--m", type=int, default=None)
-    b.add_argument("--a0-fraction", dest="a0_fraction", type=float, default=0.5)
-    b.add_argument("--max-iter", type=int, default=200)
-    b.add_argument("--tol", type=float, default=1e-8)
-    b.add_argument("--config", default=None)
+    b.add_argument("--a0-fraction", dest="a0_fraction", type=float, default=None)
+    b.add_argument("--max-iter", type=int, default=None)
+    b.add_argument("--tol", type=float, default=None)
+    b.add_argument("--config", default=None,
+                   help="JSON config file (as for extract, except eta); flags override it")
     b.add_argument("--out", default=DEFAULT_OUT)
-    b.set_defaults(mode="rtea", func=cmd_bench_eta)
+    b.set_defaults(mode="rtea", penalty=None, func=cmd_bench_eta)
 
     return parser
 

@@ -18,12 +18,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def _atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -45,11 +39,17 @@ def write_columns_csv(path: str, columns: dict[str, np.ndarray]) -> None:
     lengths = {a.shape[0] for a in arrays}
     if len(lengths) != 1:
         raise ValueError(f"columns have unequal lengths: {sorted(lengths)}")
+    # each column is formatted once: integers as such, everything else as
+    # the repr of a float, which reads back to the same double
+    cells = [
+        map(str, a.tolist()) if np.issubdtype(a.dtype, np.integer)
+        else map(repr, a.astype(float).tolist())
+        for a in arrays
+    ]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(names)
-    for row in zip(*arrays):
-        writer.writerow([_fmt(v) for v in row])
+    buf.write(",".join(names) + "\n")
+    for row in zip(*cells):
+        buf.write(",".join(row) + "\n")
     _atomic_write_text(path, buf.getvalue())
 
 

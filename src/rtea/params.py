@@ -92,7 +92,7 @@ def beta_lookup(n1: int, m: int) -> float:
     return float(BETA_TABLE[m - 1][n1 - 1])
 
 
-def choose_lambdas(
+def _choose_lambdas(
     eta: float, beta0: float, beta1: float, beta2: float, sigma: float
 ) -> tuple[float, float, float]:
     """Split the regularization budget between the coupling and component
@@ -154,7 +154,7 @@ def default_config(
     beta1 = beta_lookup(spec1.n1, spec1.m)
     beta2 = beta_lookup(spec2.n1, spec2.m)
     sigma = _lambda_scale(estimate_sigma(y))
-    lam0, lam1, lam2 = choose_lambdas(eta, beta0, beta1, beta2, sigma)
+    lam0, lam1, lam2 = _choose_lambdas(eta, beta0, beta1, beta2, sigma)
     _, bound = check_convexity(k0, lam0, 0.0)
     a0 = a0_fraction * bound
     pen0 = PenaltySpec(family=family if a0 > 0 else "abs", a=a0)

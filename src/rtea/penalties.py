@@ -92,14 +92,6 @@ def majorizer_denom(u, spec: PenaltySpec):
     return _denom_at(np.sqrt(u * u + spec.eps), spec.a, spec.family)
 
 
-def majorize_scalar(u, v, spec: PenaltySpec):
-    """Quadratic upper bound of smoothed_penalty(u), tangent at u = v."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    d = majorizer_denom(v, spec)
-    return u * u / (2.0 * d) - (v * v / (2.0 * d) - smoothed_penalty(v, spec))
-
-
 def _smoothed_sq(s, spec: PenaltySpec):
     # Smoothed penalty given the squared argument s = u^2 >= 0.
     return _value_at(np.sqrt(s + spec.eps), spec.a, spec.family)

@@ -114,17 +114,6 @@ def group_penalty(x, b, spec: PenaltySpec) -> float:
     return _penalty_from_sums(b._convolve(x * x), spec)
 
 
-def combined_penalty(x1, x2, k0: int, spec: PenaltySpec) -> float:
-    """Group penalty of the sum x1 + x2 with an all-ones mask of size k0."""
-    x1 = _as_signal(x1)
-    x2 = _as_signal(x2)
-    if x1.size != x2.size:
-        raise ValueError(f"length mismatch: {x1.size} vs {x2.size}")
-    if k0 < 1:
-        raise ValueError(f"group size k0 must be >= 1, got {k0}")
-    return group_penalty(x1 + x2, WeightArray.ones(k0), spec)
-
-
 def majorizer_weights(z, b, spec: PenaltySpec) -> np.ndarray:
     """Per-sample weights of the quadratic majorizer of the group penalty.
 

@@ -61,8 +61,9 @@ class SolverConfig:
 
     ``lam0``/``pen0`` weight and shape the penalty on x1 + x2 (group size
     ``k0``); ``lam1``/``pen1``/``b1`` and ``lam2``/``pen2``/``b2`` the
-    per-component periodic-mask penalties.  With ``enforce_convexity`` the
-    config refuses concavity parameters that would break global convexity.
+    per-component periodic-mask penalties.  The config refuses concavity
+    parameters that would break global convexity: only the coupling penalty
+    may be non-convex, within the bound of :func:`check_convexity`.
     """
 
     lam0: float
@@ -76,7 +77,6 @@ class SolverConfig:
     b2: WeightArray
     max_iter: int = 200
     tol: float = 1e-8
-    enforce_convexity: bool = True
 
     def __post_init__(self):
         for name in ("lam0", "lam1", "lam2"):
@@ -98,19 +98,17 @@ class SolverConfig:
                 "lam0 == 0 (no coupling term) requires all concavity parameters "
                 "a to be 0: convexity cannot be restored by the data term"
             )
-        if self.enforce_convexity:
-            if self.pen1.a != 0 or self.pen2.a != 0:
+        if self.pen1.a != 0 or self.pen2.a != 0:
+            raise ValueError(
+                "only the coupling penalty may be non-convex; set pen1.a = pen2.a = 0"
+            )
+        if self.lam0 > 0:
+            ok, bound = check_convexity(self.k0, self.lam0, self.pen0.a)
+            if not ok:
                 raise ValueError(
-                    "convex mode allows non-convexity only in the coupling "
-                    "penalty; set pen1.a = pen2.a = 0"
+                    f"a0 = {self.pen0.a} violates the strict-convexity bound "
+                    f"1/(k0*lam0) = {bound}"
                 )
-            if self.lam0 > 0:
-                ok, bound = check_convexity(self.k0, self.lam0, self.pen0.a)
-                if not ok:
-                    raise ValueError(
-                        f"a0 = {self.pen0.a} violates the strict-convexity bound "
-                        f"1/(k0*lam0) = {bound}"
-                    )
 
 
 @dataclass(frozen=True)

@@ -69,13 +69,8 @@ def _rng_of(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def gen_transient(train: TransientTrain, seed=None) -> np.ndarray:
-    """Draw one transient: a sum of 1..J random sinusoids over the window."""
-    rng = _rng_of(train.seed if seed is None else seed)
-    return _draw_transient(rng, train)
-
-
 def _draw_transient(rng: np.random.Generator, train: TransientTrain) -> np.ndarray:
+    # one transient: a sum of 1..J random sinusoids over the window
     lo, hi = train.n_sines_range
     j = int(rng.integers(lo, hi + 1))
     n = np.arange(train.transient_len)
@@ -164,7 +159,6 @@ def gen_mixture(
     jitter_pct: float = 0.0,
     modulation_freq_hz: float | None = None,
     sample_rate_hz: float | None = None,
-    amplitude_range: tuple[float, float] = (0.5, 2.0),
 ) -> Mixture:
     """Synthesize ``y = x1 + x2 + noise`` with periods ``t1`` and ``t2``.
 
@@ -176,7 +170,6 @@ def gen_mixture(
     common = dict(
         transient_len=transient_len,
         jitter_pct=jitter_pct,
-        amplitude_range=amplitude_range,
         sample_rate_hz=sample_rate_hz,
     )
     g1 = gen_train(TransientTrain(period_samples=t1, seed=s1, **common), n_samples)

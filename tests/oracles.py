@@ -4,18 +4,25 @@ The sums, penalties and weights are written as plain nested loops straight
 from the definitions, deliberately avoiding the convolution/sliding-window
 code paths used by the package.  The gradient and the majorizer gaps at the
 end are built from the package's public regularizer functions; they test
-identities that must hold between those functions.
+identities that must hold between those functions.  The helpers in between
+(scalar majorizer, coupling penalty, single transient, row-wise CSV writer)
+are the small pieces of the model the tests call directly.
 """
+
+import csv
+import io
 
 import numpy as np
 
 from rtea.penalties import majorizer_denom, smoothed_penalty
 from rtea.regularizers import (
+    WeightArray,
+    _as_signal,
     combined_majorizer_weights,
-    combined_penalty,
     group_penalty,
     majorizer_weights,
 )
+from rtea.synth import _draw_transient
 
 
 def dense_mask(b):
@@ -72,6 +79,44 @@ def weights_loops(z, b, spec):
 
 def combined_weights_loops(z, k0, spec):
     return weights_loops(z, np.ones(k0), spec)
+
+
+def majorize_scalar(u, v, spec):
+    """Quadratic upper bound of smoothed_penalty(u), tangent at u = v."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    d = majorizer_denom(v, spec)
+    return u * u / (2.0 * d) - (v * v / (2.0 * d) - smoothed_penalty(v, spec))
+
+
+def combined_penalty(x1, x2, k0, spec):
+    """Group penalty of the sum x1 + x2 with an all-ones mask of size k0."""
+    x1 = _as_signal(x1)
+    x2 = _as_signal(x2)
+    if x1.size != x2.size:
+        raise ValueError(f"length mismatch: {x1.size} vs {x2.size}")
+    if k0 < 1:
+        raise ValueError(f"group size k0 must be >= 1, got {k0}")
+    return group_penalty(x1 + x2, WeightArray.ones(k0), spec)
+
+
+def gen_transient(train, seed=None):
+    """Draw one transient of ``train``, seeded by ``train.seed`` unless
+    ``seed`` is given: the draw ``gen_train`` makes at each onset."""
+    return _draw_transient(np.random.default_rng(train.seed if seed is None else seed), train)
+
+
+def csv_rowwise(columns):
+    """The CSV text of named columns, formatted value by value: integers
+    with ``str``, everything else as ``repr(float(v))``, LF line endings."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(columns))
+    for row in zip(*(np.asarray(c) for c in columns.values())):
+        writer.writerow(
+            [str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row]
+        )
+    return buf.getvalue()
 
 
 def cost_loops(y, x1, x2, cfg):

@@ -13,15 +13,21 @@ from rtea.params import (
     PeriodSpec,
     beta_lookup,
     build_weight_array,
-    choose_lambdas,
+    _choose_lambdas,
     estimate_sigma,
 )
-from rtea.penalties import PenaltySpec, majorize_scalar, smoothed_penalty
+from rtea.penalties import PenaltySpec, smoothed_penalty
 from rtea.regularizers import WeightArray, combined_majorizer_weights, majorizer_weights
 from rtea.solver import SolverConfig, check_convexity, rtea_solve
 from rtea.synth import TransientTrain, gen_mixture, gen_train
 
-from oracles import combined_majorizer_gap, combined_weights_loops, dense_mask, weights_loops
+from oracles import (
+    combined_majorizer_gap,
+    combined_weights_loops,
+    dense_mask,
+    majorize_scalar,
+    weights_loops,
+)
 
 FAMILIES = ("abs", "log", "rat", "atan")
 
@@ -37,7 +43,7 @@ def two_train_config(sigma, eta, a0_fraction=0.9, max_iter=250, tol=1e-9):
     regularization scaled by the known noise level."""
     b1 = build_weight_array(PeriodSpec(period_samples=32, n1=3, m=4))
     b2 = build_weight_array(PeriodSpec(period_samples=53, n1=3, m=4))
-    lam0, lam1, lam2 = choose_lambdas(
+    lam0, lam1, lam2 = _choose_lambdas(
         eta, beta_lookup(3, 1), beta_lookup(3, 4), beta_lookup(3, 4), sigma
     )
     _, bound = check_convexity(3, lam0, 0.0)
@@ -323,11 +329,11 @@ def test_c9_table_and_split_fidelity():
         (1, 4): 0.925, (2, 4): 0.475, (3, 4): 0.375, (4, 4): 0.325,
     }
     ok = all(beta_lookup(n1, m) == v for (n1, m), v in expected.items())
-    lam0, lam1, lam2 = choose_lambdas(0.5, 1.150, 0.375, 0.375, 1.0)
+    lam0, lam1, lam2 = _choose_lambdas(0.5, 1.150, 0.375, 0.375, 1.0)
     ok &= abs(lam0 - 0.575) < 1e-12
     ok &= abs(lam1 - 0.09375) < 1e-12 and abs(lam2 - 0.09375) < 1e-12
     for eta, sigma in ((0.3, 0.7), (0.8, 2.5)):
-        l0, l1, l2 = choose_lambdas(eta, 1.7, 0.475, 0.625, sigma)
+        l0, l1, l2 = _choose_lambdas(eta, 1.7, 0.475, 0.625, sigma)
         ok &= abs(l0 - eta * 1.7 * sigma) < 1e-12
         ok &= abs(l1 - 0.5 * (1 - eta) * 0.475 * sigma) < 1e-12
         ok &= abs(l2 - 0.5 * (1 - eta) * 0.625 * sigma) < 1e-12

@@ -2,8 +2,9 @@
 
 The benchmark (``bench/``) is a client of the package: each name it imports
 from ``rtea`` must stay public, so a trim of ``rtea.__all__`` that would
-break it fails here first.  The package also imports without scipy, which
-would add over a second to every cold CLI run.
+break it fails here first, and the whole public surface is pinned by name.
+The package also imports without scipy, which would add over a second to
+every cold CLI run.
 """
 
 import ast
@@ -41,6 +42,22 @@ def test_bench_imports_are_public(path):
         # a submodule (``from rtea import fileio``) is public as a module
         if importlib.util.find_spec(f"rtea.{name}") is None:
             assert name in rtea.__all__, f"{path.name} imports rtea.{name}, not in __all__"
+
+
+PUBLIC_NAMES = [
+    "DecompositionResult", "EnvelopeSpectrum", "Mixture", "NumericalError",
+    "PenaltySpec", "PeriodSpec", "SolverConfig", "TransientTrain", "WeightArray",
+    "add_awgn", "beta_lookup", "build_weight_array", "check_convexity",
+    "combined_majorizer_weights", "default_config", "envelope_spectrum",
+    "estimate_sigma", "find_peaks", "gen_mixture", "gen_train", "group_penalty",
+    "majorizer_denom", "majorizer_weights", "mca_config", "penalty", "pogs_solve",
+    "rmse", "rtea_solve", "smoothed_penalty",
+]
+
+
+def test_public_surface_is_pinned():
+    # a change to the public API shows here as a reviewed edit of the list
+    assert sorted(rtea.__all__) == PUBLIC_NAMES
 
 
 def test_all_entries_resolve():

@@ -142,6 +142,13 @@ class TestExtract:
                     "--out", tmp_path / "o"]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_seed_is_not_a_config_key(self, generated, tmp_path, capsys):
+        cfg_path = tmp_path / "seeded.json"
+        cfg_path.write_text(json.dumps({"period_samples": [32, 53], "seed": 1}))
+        assert run(["extract", generated / "signal.csv", "--config", cfg_path,
+                    "--out", tmp_path / "o"]) == 2
+        assert "unknown config keys: ['seed']" in capsys.readouterr().err
+
     def test_frequency_flags(self, tmp_path):
         out_gen = tmp_path / "gen"
         assert run(["generate", "--t1", 128, "--t2", 160, "--n", 2048,
@@ -216,6 +223,18 @@ class TestExtract:
         cols = read_columns_csv(str(out / "components.csv"))
         assert len(cols["x1"]) == 256
 
+    @pytest.mark.parametrize("text, cause", [
+        ("y,w\n0.1,0.2\n0.3\n", "row 2 has 1 fields, expected 2"),
+        ("0.1,0.2\n0.3,0.4\n", "headerless CSV must have a single column"),
+        ("", "empty CSV"),
+    ], ids=["ragged-row", "headerless-two-columns", "empty-file"])
+    def test_malformed_csv_is_usage_error(self, tmp_path, capsys, text, cause):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert run(["extract", path, "--period1", 16, "--period2", 25,
+                    "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {cause}\n"
+
 
 class TestAnalyze:
     def test_peaks_report(self, generated, tmp_path):
@@ -262,14 +281,6 @@ class TestAnalyze:
         assert list(report["components"]) == ["y"]
         assert report["components"]["y"]["fundamental_hz"] == pytest.approx(20.0, abs=1.0)
 
-    def test_plot_emission(self, generated, tmp_path):
-        pytest.importorskip("matplotlib")
-        out = tmp_path / "plots"
-        assert run(["extract", generated / "signal.csv", "--period1", 32,
-                    "--period2", 53, "--max-iter", 30, "--plot", "--out", out]) == 0
-        assert (out / "components.svg").exists()
-        assert (out / "cost.svg").exists()
-
     def test_empty_component_gives_empty_peaks(self, tmp_path):
         n = 512
         write_columns_csv(
@@ -309,6 +320,21 @@ class TestBenchEta:
         cols = read_columns_csv(str(out / "eta_sweep.csv"))
         assert list(cols) == ["eta", "rmse_x1", "rmse_x2", "rmse_sum"]
         assert len(cols["eta"]) == 3
+
+    def test_config_file_settings(self, tmp_path):
+        out_gen = tmp_path / "gen"
+        assert run(["generate", "--n", 512, "--seed", 4, "--out", out_gen]) == 0
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"max_iter": 1}))
+        sweeps = {}
+        for name, extra in (("flag", ["--max-iter", 1]), ("file", ["--config", cfg_path]),
+                            ("default", [])):
+            out = tmp_path / name
+            assert run(["bench-eta", out_gen / "signal.csv", "--period1", 32,
+                        "--period2", 53, "--etas", "0.2,0.5", *extra, "--out", out]) == 0
+            sweeps[name] = read_bytes(out / "eta_sweep.csv")
+        assert sweeps["file"] == sweeps["flag"]
+        assert sweeps["file"] != sweeps["default"]
 
     def test_requires_truth(self, tmp_path):
         n = 128

@@ -6,7 +6,7 @@ from rtea.params import (
     PeriodSpec,
     beta_lookup,
     build_weight_array,
-    choose_lambdas,
+    _choose_lambdas,
     default_config,
     estimate_sigma,
     mca_config,
@@ -92,30 +92,30 @@ class TestBetaLookup:
 
 class TestChooseLambdas:
     def test_reference_split(self):
-        lam0, lam1, lam2 = choose_lambdas(0.5, 1.150, 0.375, 0.375, 1.0)
+        lam0, lam1, lam2 = _choose_lambdas(0.5, 1.150, 0.375, 0.375, 1.0)
         assert lam0 == pytest.approx(0.575, abs=1e-12)
         assert lam1 == pytest.approx(0.09375, abs=1e-12)
         assert lam2 == pytest.approx(0.09375, abs=1e-12)
 
     def test_eta_limits(self):
-        lam0, lam1, lam2 = choose_lambdas(1e-9, 1.15, 0.375, 0.375, 1.0)
+        lam0, lam1, lam2 = _choose_lambdas(1e-9, 1.15, 0.375, 0.375, 1.0)
         assert lam0 < 1e-8 and lam1 == pytest.approx(0.1875, rel=1e-6)
-        lam0, lam1, lam2 = choose_lambdas(1 - 1e-9, 1.15, 0.375, 0.375, 1.0)
+        lam0, lam1, lam2 = _choose_lambdas(1 - 1e-9, 1.15, 0.375, 0.375, 1.0)
         assert lam1 < 1e-8 and lam2 < 1e-8 and lam0 == pytest.approx(1.15, rel=1e-6)
 
     def test_homogeneous_in_sigma(self):
-        a = choose_lambdas(0.3, 1.7, 0.475, 0.625, 1.0)
-        b = choose_lambdas(0.3, 1.7, 0.475, 0.625, 3.5)
+        a = _choose_lambdas(0.3, 1.7, 0.475, 0.625, 1.0)
+        b = _choose_lambdas(0.3, 1.7, 0.475, 0.625, 3.5)
         np.testing.assert_allclose(np.asarray(b), 3.5 * np.asarray(a), rtol=1e-14)
 
     @pytest.mark.parametrize("eta", [0.0, 1.0, -0.2, 1.4])
     def test_eta_out_of_range(self, eta):
         with pytest.raises(ValueError):
-            choose_lambdas(eta, 1.0, 1.0, 1.0, 1.0)
+            _choose_lambdas(eta, 1.0, 1.0, 1.0, 1.0)
 
     def test_nonpositive_sigma(self):
         with pytest.raises(ValueError):
-            choose_lambdas(0.5, 1.0, 1.0, 1.0, 0.0)
+            _choose_lambdas(0.5, 1.0, 1.0, 1.0, 0.0)
 
 
 class TestEstimateSigma:
@@ -163,7 +163,7 @@ class TestDefaultConfig:
 
     def test_reference_a0(self):
         # eta=0.5, sigma=1, k0=3 -> lam0=0.575, half the bound is ~0.28986
-        lam0, _, _ = choose_lambdas(0.5, 1.150, 0.375, 0.375, 1.0)
+        lam0, _, _ = _choose_lambdas(0.5, 1.150, 0.375, 0.375, 1.0)
         _, bound = check_convexity(3, lam0, 0.0)
         assert 0.5 * bound == pytest.approx(0.2898550724637681, rel=1e-12)
 

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from rtea.penalties import (
     FAMILIES,
     PenaltySpec,
-    majorize_scalar,
     majorizer_denom,
     penalty,
     smoothed_penalty,
 )
+
+from oracles import majorize_scalar
 
 NONCONVEX = ("log", "rat", "atan")
 

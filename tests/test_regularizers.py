@@ -7,12 +7,12 @@ from rtea.penalties import PenaltySpec, smoothed_penalty
 from rtea.regularizers import (
     WeightArray,
     combined_majorizer_weights,
-    combined_penalty,
     group_penalty,
     majorizer_weights,
 )
 
 from oracles import (
+    combined_penalty,
     combined_weights_loops,
     dense_mask,
     group_majorizer_gap,

@@ -66,15 +66,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(pen1=PenaltySpec("atan", a=0.5, eps=1e-8))
 
-    def test_nonconvex_allowed_when_unenforced(self):
-        cfg = small_config(
-            pen1=PenaltySpec("atan", a=0.5, eps=1e-8), enforce_convexity=False
-        )
-        assert cfg.pen1.a == 0.5
-
     def test_zero_lam0_requires_all_convex(self):
         with pytest.raises(ValueError):
-            small_config(lam0=0.0, enforce_convexity=False)
+            small_config(lam0=0.0)
         cfg = small_config(lam0=0.0, pen0=PenaltySpec("abs", eps=1e-8))
         assert cfg.lam0 == 0.0
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from rtea.synth import Mixture, TransientTrain, add_awgn, gen_mixture, gen_train, gen_transient
+from rtea.synth import Mixture, TransientTrain, add_awgn, gen_mixture, gen_train
+
+from oracles import gen_transient
 
 
 def pinned_train(**overrides):
