@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 invalid arguments, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -29,32 +30,26 @@ from .solver import NumericalError, check_convexity, pogs_solve, rtea_solve
 from .synth import gen_mixture
 
 DEFAULT_OUT = "out"
-CONFIG_KEYS = (
-    "eta",
-    "a0_fraction",
-    "penalty",
-    "n1",
-    "m",
-    "fault_freq_hz",
-    "period_samples",
-    "sample_rate_hz",
-    "max_iter",
-    "tol",
-)
+# The key of each --config setting and the flag it is parsed as.  A key
+# with two flags takes one value for both components or a 2-list.
+CONFIG_FLAGS = {
+    "eta": "--eta",
+    "a0_fraction": "--a0-fraction",
+    "penalty": "--penalty",
+    "n1": "--n1",
+    "m": "--m",
+    "fault_freq_hz": ("--freq1", "--freq2"),
+    "period_samples": ("--period1", "--period2"),
+    "sample_rate_hz": "--fs",
+    "max_iter": "--max-iter",
+    "tol": "--tol",
+}
 
 
 def _env_seed(value):
     if value is not None:
         return int(value)
     return int(os.environ.get("RTEA_SEED", "0"))
-
-
-def _say(msg: str) -> None:
-    print(msg)
-
-
-def _warn(msg: str) -> None:
-    print(f"warning: {msg}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +105,7 @@ def cmd_generate(args) -> int:
             "timestamp": fileio.utc_timestamp(),
         },
     )
-    _say(f"wrote {signal_path} ({args.n} samples) and {manifest_path}")
+    print(f"wrote {signal_path} ({args.n} samples) and {manifest_path}")
     return 0
 
 
@@ -118,85 +113,34 @@ def cmd_generate(args) -> int:
 # extract
 
 
-def _load_config_file(path):
-    if path is None:
-        return {}
-    import json
-
-    with open(path) as fh:
-        cfg = json.load(fh)
-    unknown = set(cfg) - set(CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
-
-
-def _pick(flag_value, cfg, key, default):
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _resolve_settings(args, cfg):
-    """The solver settings of extract and bench-eta, each from its flag,
-    else the config file, else the default."""
-    return {
-        "a0_fraction": float(_pick(args.a0_fraction, cfg, "a0_fraction", 0.5)),
-        "penalty": _pick(args.penalty, cfg, "penalty", "atan"),
-        "max_iter": int(_pick(args.max_iter, cfg, "max_iter", 200)),
-        "tol": float(_pick(args.tol, cfg, "tol", 1e-8)),
-    }
-
-
-def _pair(value, name):
-    # Accept a scalar or a 2-list from the config file.
-    if value is None:
-        return None, None
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ValueError(f"{name} must be a scalar or a 2-element list")
-        return value[0], value[1]
-    return value, value
-
-
-def _resolve_periods(args, cfg):
-    """Build the per-component period priors from flags and config file."""
-    n1a, n1b = _pair(_pick(args.n1, cfg, "n1", 3), "n1")
-    ma, mb = _pair(_pick(args.m, cfg, "m", 4), "m")
-    fs = _pick(args.fs, cfg, "sample_rate_hz", None)
-    p1, p2 = args.period1, args.period2
-    f1, f2 = args.freq1, args.freq2
-    if p1 is None and f1 is None:
-        cp1, cp2 = _pair(cfg.get("period_samples"), "period_samples")
-        cf1, cf2 = _pair(cfg.get("fault_freq_hz"), "fault_freq_hz")
-        p1, p2 = cp1, cp2
-        f1, f2 = cf1, cf2
-
-    def one(period, freq, n1, m, which):
-        if period is not None:
-            return PeriodSpec(period_samples=float(period), n1=int(n1), m=int(m))
-        if freq is not None:
-            if fs is None:
-                raise ValueError("--fs (sample rate) is required with fault frequencies")
-            return PeriodSpec(
-                fault_freq_hz=float(freq),
-                sample_rate_hz=float(fs),
-                n1=int(n1),
-                m=int(m),
+def _periods(args) -> list[PeriodSpec]:
+    """The period prior of each component: component 1's alone in pogs mode."""
+    specs = []
+    for i in range(1 if args.mode == "pogs" else 2):
+        prior = (args.prior1, args.prior2)[i]
+        if prior is None:
+            raise ValueError(
+                f"no period prior for component {i + 1}: fault characteristic "
+                "frequencies (or periods) are required prior information; pass "
+                "--period1/--period2 or --freq1/--freq2 together with --fs"
             )
-        raise ValueError(
-            f"no period prior for component {which}: fault characteristic "
-            "frequencies (or periods) are required prior information; pass "
-            "--period1/--period2 or --freq1/--freq2 together with --fs"
-        )
+        if "fault_freq_hz" in prior:
+            if args.fs is None:
+                raise ValueError("--fs (sample rate) is required with fault frequencies")
+            prior = {**prior, "sample_rate_hz": args.fs}
+        # a single --n1 or --m value serves both components
+        specs.append(PeriodSpec(**prior, n1=(args.n1 * 2)[i], m=(args.m * 2)[i]))
+    return specs
 
-    spec1 = one(p1, f1, n1a, ma, 1)
-    if args.mode == "pogs":
-        return spec1, None
-    spec2 = one(p2, f2, n1b, mb, 2)
-    return spec1, spec2
+
+def _solver_config(y, args, specs, eta):
+    """The solver config of one rtea or mca run of extract or bench-eta."""
+    if args.mode == "mca":
+        return mca_config(y, *specs, max_iter=args.max_iter, tol=args.tol)
+    return default_config(
+        y, *specs, eta=eta, a0_fraction=args.a0_fraction,
+        family=args.penalty, max_iter=args.max_iter, tol=args.tol,
+    )
 
 
 def _require_finite(path, cols, name):
@@ -225,98 +169,63 @@ def _read_observation(path):
 
 
 def cmd_extract(args) -> int:
-    cfg_file = _load_config_file(args.config)
-    eta = float(_pick(args.eta, cfg_file, "eta", 0.5))
-    settings = _resolve_settings(args, cfg_file)
-    penalty, max_iter, tol = settings["penalty"], settings["max_iter"], settings["tol"]
-
     y, truth = _read_observation(args.input)
-    spec1, spec2 = _resolve_periods(args, cfg_file)
+    specs = _periods(args)
     sigma = estimate_sigma(y)
     out = args.out
     os.makedirs(out, exist_ok=True)
-
+    settings = ("eta", "a0_fraction", "penalty", "max_iter", "tol", "init")
     manifest = {
         "command": "extract",
         "mode": args.mode,
         "input": {"path": args.input, "sha256": fileio.sha256_file(args.input)},
         "sigma_hat": sigma,
-        "settings": {"eta": eta, **settings, "init": args.init},
-        "periods": [_period_snapshot(spec1)],
-        "outputs": {},
+        "settings": {name: getattr(args, name) for name in settings},
+        "periods": [_period_snapshot(spec) for spec in specs],
         "metrics": {},
     }
 
     if args.mode == "pogs":
+        (spec1,) = specs
         b = build_weight_array(spec1)
-        if args.lam is not None:
-            lam = args.lam
-        else:
+        lam = args.lam
+        if lam is None:
             lam = beta_lookup(spec1.n1, spec1.m) * _lambda_scale(sigma)
-        x, costs, iterations, converged = pogs_solve(
-            y, b, lam, PenaltySpec(family=penalty, a=0.0), max_iter=max_iter, tol=tol,
-            full_output=True,
+        x, cost_hist, iterations, converged = pogs_solve(
+            y, b, lam, PenaltySpec(family=args.penalty, a=0.0),
+            max_iter=args.max_iter, tol=args.tol, full_output=True,
         )
-        _say(f"sigma_hat = {sigma:.6g}")
-        _say(f"lambda = {lam:.6g}")
-        _say(f"iterations = {iterations} ({'converged' if converged else 'not converged'})")
-        columns = {
-            "index": np.arange(y.size),
-            "x1": x,
-            "residual": y - x,
-        }
-        cost_hist = np.asarray(costs)
+        columns = {"x1": x, "residual": y - x}
+        notes = [f"lambda = {lam:.6g}"]
         manifest["config"] = {"lam": lam, "b": _mask_snapshot(b)}
-        manifest["metrics"].update(
-            final_cost=float(cost_hist[-1]), iterations=iterations, converged=converged
-        )
     else:
-        if args.mode == "mca":
-            solver_cfg = mca_config(y, spec1, spec2, max_iter=max_iter, tol=tol)
-        else:
-            if eta >= 0.9:
-                _warn(
-                    f"eta = {eta} puts almost all weight on the combined-sparsity "
-                    "term; the two components tend to collapse onto each other "
-                    "(x1 == x2) and the decomposition degrades"
-                )
-            solver_cfg = default_config(
-                y, spec1, spec2, eta=eta, a0_fraction=settings["a0_fraction"],
-                family=penalty, max_iter=max_iter, tol=tol,
+        if args.mode == "rtea" and args.eta >= 0.9:
+            print(
+                f"warning: eta = {args.eta} puts almost all weight on the "
+                "combined-sparsity term; the two components tend to collapse onto "
+                "each other (x1 == x2) and the decomposition degrades",
+                file=sys.stderr,
             )
-        manifest["periods"].append(_period_snapshot(spec2))
+        solver_cfg = _solver_config(y, args, specs, args.eta)
         init = "zeros" if args.init == "zeros" else None
         result = rtea_solve(y, solver_cfg, init=init)
-        _say(f"sigma_hat = {sigma:.6g}")
-        _say(
+        notes = [
             f"lambda0 = {solver_cfg.lam0:.6g}, lambda1 = {solver_cfg.lam1:.6g}, "
             f"lambda2 = {solver_cfg.lam2:.6g}"
-        )
+        ]
         if solver_cfg.lam0 > 0:
             ok, bound = check_convexity(solver_cfg.k0, solver_cfg.lam0, solver_cfg.pen0.a)
-            _say(
+            notes.append(
                 f"convexity bound 1/(k0*lam0) = {bound:.6g}, "
                 f"a0 = {solver_cfg.pen0.a:.6g} ({'ok' if ok else 'VIOLATED'})"
             )
         else:
-            _say("convexity bound: not applicable (lam0 = 0)")
-        _say(
-            f"iterations = {result.iterations} "
-            f"({'converged' if result.converged else 'not converged'})"
+            notes.append("convexity bound: not applicable (lam0 = 0)")
+        cost_hist, iterations, converged = (
+            result.cost_history, result.iterations, result.converged
         )
-        columns = {
-            "index": np.arange(y.size),
-            "x1": result.x1,
-            "x2": result.x2,
-            "residual": result.residual,
-        }
-        cost_hist = result.cost_history
+        columns = {"x1": result.x1, "x2": result.x2, "residual": result.residual}
         manifest["config"] = _config_snapshot(solver_cfg)
-        manifest["metrics"].update(
-            final_cost=result.final_cost,
-            iterations=result.iterations,
-            converged=result.converged,
-        )
         if truth is not None:
             x1t, x2t = truth
             manifest["metrics"].update(
@@ -325,18 +234,23 @@ def cmd_extract(args) -> int:
                 baseline_rmse_y_x1=rmse(y, x1t),
                 baseline_rmse_y_x2=rmse(y, x2t),
             )
+    print(f"sigma_hat = {sigma:.6g}", *notes, sep="\n")
+    print(f"iterations = {iterations} ({'converged' if converged else 'not converged'})")
 
     components_path = os.path.join(out, "components.csv")
-    fileio.write_columns_csv(components_path, columns)
+    fileio.write_columns_csv(components_path, {"index": np.arange(y.size), **columns})
     cost_path = os.path.join(out, "cost.csv")
     fileio.write_columns_csv(
         cost_path,
         {"iteration": np.arange(cost_hist.size), "cost": cost_hist},
     )
+    manifest["metrics"].update(
+        final_cost=float(cost_hist[-1]), iterations=iterations, converged=converged
+    )
     manifest["outputs"] = {"components": components_path, "cost": cost_path}
     manifest["timestamp"] = fileio.utc_timestamp()
     fileio.write_json(os.path.join(out, "manifest.json"), manifest)
-    _say(f"wrote {components_path}")
+    print(f"wrote {components_path}")
     return 0
 
 
@@ -437,16 +351,16 @@ def cmd_analyze(args) -> int:
         }
         report["outputs"][name] = path
         if fundamental is None:
-            _say(f"{name}: no peaks in band")
+            print(f"{name}: no peaks in band")
         else:
-            _say(
+            print(
                 f"{name}: fundamental {fundamental:.4g} Hz, "
                 f"harmonic score {score:.2f}, rms {rms:.4g}"
             )
     report["timestamp"] = fileio.utc_timestamp()
     peaks_path = os.path.join(out, "peaks.json")
     fileio.write_json(peaks_path, report)
-    _say(f"wrote {peaks_path}")
+    print(f"wrote {peaks_path}")
     return 0
 
 
@@ -461,25 +375,16 @@ def cmd_bench_eta(args) -> int:
             f"{args.input}: ground-truth columns x1_true/x2_true are required "
             "for the eta sweep"
         )
-    cfg_file = _load_config_file(args.config)
-    spec1, spec2 = _resolve_periods(args, cfg_file)
-    settings = _resolve_settings(args, cfg_file)
+    specs = _periods(args)
     x1t, x2t = truth
-    etas = [float(v) for v in args.etas.split(",") if v.strip()]
-    if not etas or not all(0.0 < e < 1.0 for e in etas):
-        raise ValueError("--etas must be a comma list of values in (0, 1)")
     rows = {"eta": [], "rmse_x1": [], "rmse_x2": [], "rmse_sum": []}
-    for eta in etas:
-        cfg = default_config(
-            y, spec1, spec2, eta=eta, a0_fraction=settings["a0_fraction"],
-            family=settings["penalty"], max_iter=settings["max_iter"], tol=settings["tol"],
-        )
-        res = rtea_solve(y, cfg)
+    for eta in args.etas:
+        res = rtea_solve(y, _solver_config(y, args, specs, eta))
         rows["eta"].append(eta)
         rows["rmse_x1"].append(rmse(res.x1, x1t))
         rows["rmse_x2"].append(rmse(res.x2, x2t))
         rows["rmse_sum"].append(rmse(res.x1 + res.x2, x1t + x2t))
-        _say(
+        print(
             f"eta = {eta:.3f}: rmse_x1 = {rows['rmse_x1'][-1]:.5g}, "
             f"rmse_x2 = {rows['rmse_x2'][-1]:.5g}, "
             f"rmse_sum = {rows['rmse_sum'][-1]:.5g}"
@@ -492,19 +397,42 @@ def cmd_bench_eta(args) -> int:
         {
             "command": "bench-eta",
             "input": {"path": args.input, "sha256": fileio.sha256_file(args.input)},
-            "etas": etas,
-            "a0_fraction": settings["a0_fraction"],
-            "periods": [_period_snapshot(spec1), _period_snapshot(spec2)],
+            "etas": args.etas,
+            "a0_fraction": args.a0_fraction,
+            "periods": [_period_snapshot(spec) for spec in specs],
             "outputs": {"sweep": sweep_path},
             "timestamp": fileio.utc_timestamp(),
         },
     )
-    _say(f"wrote {sweep_path}")
+    print(f"wrote {sweep_path}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+class _Prior(argparse.Action):
+    """``--periodN`` and ``--freqN`` store ``{PeriodSpec keyword: value}`` into
+    one destination, so the last prior given for a component wins."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, {self.const: value})
+
+
+def _comma_list(convert, ok, expected):
+    """An argparse type: a comma list of ``convert``-ed values passing ``ok``."""
+
+    def parse(text):
+        try:
+            values = [convert(v) for v in text.split(",") if v.strip()]
+        except ValueError:
+            values = []
+        if not values or not ok(values):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return values
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -532,28 +460,39 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", default=DEFAULT_OUT, help="output directory (default ./out)")
     g.set_defaults(func=cmd_generate)
 
-    e = sub.add_parser("extract", help="run the decomposition on a CSV signal")
+    # the settings extract and bench-eta share: the ones a --config file sets
+    s = argparse.ArgumentParser(add_help=False)
+    for i in (1, 2):
+        s.add_argument(f"--period{i}", dest=f"prior{i}", action=_Prior,
+                       const="period_samples", type=float, metavar="SAMPLES",
+                       help=f"period of component {i} [samples]")
+        s.add_argument(f"--freq{i}", dest=f"prior{i}", action=_Prior,
+                       const="fault_freq_hz", type=float, metavar="HZ",
+                       help=f"fault frequency {i} [Hz]; the last --period{i}/--freq{i} wins")
+    s.add_argument("--fs", type=float, default=None, help="sample rate [Hz]")
+    per_component = _comma_list(int, lambda v: len(v) <= 2,
+                                "an integer or two comma-separated integers")
+    s.add_argument("--n1", type=per_component, default="3",
+                   help="ones-run (group) length, or 'a,b' per component, default 3")
+    s.add_argument("--m", type=per_component, default="4",
+                   help="periods spanned by the mask, or 'a,b' per component, default 4")
+    s.add_argument("--a0-fraction", dest="a0_fraction", type=float, default=0.5,
+                   help="coupling concavity as a fraction of the convexity bound, default 0.5")
+    s.add_argument("--penalty", choices=("abs", "log", "rat", "atan"), default="atan",
+                   help="penalty family for the coupling term, default atan")
+    s.add_argument("--max-iter", type=int, default=200)
+    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--config", default=None,
+                   help="JSON config file whose keys set these flags; flags given override it")
+    s.add_argument("--out", default=DEFAULT_OUT)
+
+    e = sub.add_parser("extract", parents=[s], help="run the decomposition on a CSV signal")
     e.add_argument("input", help="CSV with a 'y' column (or a single column)")
     e.add_argument("--mode", choices=("rtea", "mca", "pogs"), default="rtea")
-    e.add_argument("--period1", type=float, default=None, help="period of component 1 [samples]")
-    e.add_argument("--period2", type=float, default=None, help="period of component 2 [samples]")
-    e.add_argument("--freq1", type=float, default=None, help="fault frequency 1 [Hz]")
-    e.add_argument("--freq2", type=float, default=None, help="fault frequency 2 [Hz]")
-    e.add_argument("--fs", type=float, default=None, help="sample rate [Hz]")
-    e.add_argument("--n1", type=int, default=None, help="ones-run (group) length, default 3")
-    e.add_argument("--m", type=int, default=None, help="periods spanned by the mask, default 4")
-    e.add_argument("--eta", type=float, default=None, help="sparsity balance in (0,1), default 0.5")
-    e.add_argument("--a0-fraction", dest="a0_fraction", type=float, default=None,
-                   help="coupling concavity as a fraction of the convexity bound, default 0.5")
-    e.add_argument("--penalty", choices=("abs", "log", "rat", "atan"), default=None,
-                   help="penalty family for the coupling term, default atan")
+    e.add_argument("--eta", type=float, default=0.5, help="sparsity balance in (0,1), default 0.5")
     e.add_argument("--lam", type=float, default=None,
                    help="pogs mode only: regularization weight (default beta*sigma_hat)")
-    e.add_argument("--max-iter", type=int, default=None)
-    e.add_argument("--tol", type=float, default=None)
     e.add_argument("--init", choices=("observation", "zeros"), default=None)
-    e.add_argument("--config", default=None, help="JSON config file; flags override it")
-    e.add_argument("--out", default=DEFAULT_OUT)
     e.set_defaults(func=cmd_extract)
 
     a = sub.add_parser("analyze", help="envelope spectra and peak report for components")
@@ -569,30 +508,62 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", default=DEFAULT_OUT)
     a.set_defaults(func=cmd_analyze)
 
-    b = sub.add_parser("bench-eta", help="sweep eta and tabulate RMSE against ground truth")
+    b = sub.add_parser("bench-eta", parents=[s],
+                       help="sweep eta and tabulate RMSE against ground truth")
     b.add_argument("input", help="CSV with y and x1_true/x2_true columns")
-    b.add_argument("--etas", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
-    b.add_argument("--period1", type=float, default=None)
-    b.add_argument("--period2", type=float, default=None)
-    b.add_argument("--freq1", type=float, default=None)
-    b.add_argument("--freq2", type=float, default=None)
-    b.add_argument("--fs", type=float, default=None)
-    b.add_argument("--n1", type=int, default=None)
-    b.add_argument("--m", type=int, default=None)
-    b.add_argument("--a0-fraction", dest="a0_fraction", type=float, default=None)
-    b.add_argument("--max-iter", type=int, default=None)
-    b.add_argument("--tol", type=float, default=None)
-    b.add_argument("--config", default=None,
-                   help="JSON config file (as for extract, except eta); flags override it")
-    b.add_argument("--out", default=DEFAULT_OUT)
-    b.set_defaults(mode="rtea", penalty=None, func=cmd_bench_eta)
+    b.add_argument("--etas", type=_comma_list(float, lambda v: all(0 < e < 1 for e in v),
+                                              "a comma list of values in (0, 1)"),
+                   default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
+    b.set_defaults(mode="rtea", func=cmd_bench_eta)
 
     return parser
 
 
+def _config_flags(path, command) -> list[str]:
+    """A JSON config file's settings as ``--flag=value`` tokens."""
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: a config file holds one JSON object")
+    unknown = set(cfg) - set(CONFIG_FLAGS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    if "period_samples" in cfg and "fault_freq_hz" in cfg:
+        raise ValueError("give either period_samples or fault_freq_hz in a config file, not both")
+    if command == "bench-eta":
+        cfg.pop("eta", None)  # the sweep's --etas sets eta
+
+    def text(value):
+        # a string as it is, a 2-list as "a,b", anything else as JSON, so
+        # null reads "null" and fails to parse like any other bad value
+        if isinstance(value, list):
+            return ",".join(map(json.dumps, value))
+        return value if isinstance(value, str) else json.dumps(value)
+
+    tokens = []
+    for key, value in cfg.items():
+        flags = CONFIG_FLAGS[key]
+        if isinstance(value, list) and len(value) != 2:
+            raise ValueError(f"{key} must be a scalar or a 2-element list")
+        if isinstance(flags, str):
+            tokens.append(f"{flags}={text(value)}")
+        else:
+            values = value if isinstance(value, list) else [value, value]
+            tokens += [f"{flag}={text(v)}" for flag, v in zip(flags, values)]
+    return tokens
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            # the file's settings go in right after the command name, so a
+            # flag given on the command line comes later and wins
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_flags(args.config, args.command)
+            args = parser.parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

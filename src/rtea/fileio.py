@@ -71,12 +71,20 @@ def read_columns_csv(path: str) -> dict[str, np.ndarray]:
             raise ValueError(f"{path}: headerless CSV must have a single column")
         header = ["y"]
         data_rows = rows
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise ValueError(f"{path}: column name {repeated[0]!r} is repeated in the header")
     cols = {name: np.empty(len(data_rows)) for name in header}
     for i, row in enumerate(data_rows):
         if len(row) != len(header):
             raise ValueError(f"{path}: row {i + 1} has {len(row)} fields, expected {len(header)}")
         for name, v in zip(header, row):
-            cols[name][i] = float(v)
+            try:
+                cols[name][i] = float(v)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {i + 1}, column {name!r}: not a number: {v!r}"
+                ) from None
     return cols
 
 

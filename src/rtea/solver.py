@@ -55,6 +55,18 @@ def check_convexity(k0: int, lam0: float, a0: float) -> tuple[bool, float]:
     return a0 < bound, bound
 
 
+def _check_run(max_iter: int, tol: float, **lams: float) -> None:
+    """The checks every solver makes of its settings: each weight finite and
+    nonnegative, at least one iteration and a positive stop tolerance."""
+    for name, v in lams.items():
+        if not np.isfinite(v) or v < 0:
+            raise ValueError(f"{name} must be a finite nonnegative real, got {v}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Everything one decomposition run needs.
@@ -79,16 +91,9 @@ class SolverConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("lam0", "lam1", "lam2"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be a finite nonnegative real, got {v}")
+        _check_run(self.max_iter, self.tol, lam0=self.lam0, lam1=self.lam1, lam2=self.lam2)
         if self.k0 < 1:
             raise ValueError(f"group size k0 must be >= 1, got {self.k0}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
         for name in ("b1", "b2"):
             b = getattr(self, name)
             if not isinstance(b, WeightArray):
@@ -289,6 +294,7 @@ def pogs_solve(
     y = _observation(y)
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
+    _check_run(max_iter, tol, lam=lam)
     _check_mask(b, y.size)
 
     def sums_and_cost(x):

@@ -223,17 +223,112 @@ class TestExtract:
         cols = read_columns_csv(str(out / "components.csv"))
         assert len(cols["x1"]) == 256
 
+    @pytest.mark.parametrize("mode", ["rtea", "mca", "pogs"])
+    @pytest.mark.parametrize("flags", [["--max-iter", 0], ["--tol", -1], ["--tol", "nan"]],
+                             ids=["max-iter-0", "negative-tol", "nan-tol"])
+    def test_invalid_solver_settings_are_usage_errors(self, generated, tmp_path, mode, flags):
+        assert run(["extract", generated / "signal.csv", "--mode", mode, "--period1", 32,
+                    "--period2", 53, *flags, "--out", tmp_path / "x"]) == 2
+
+    def test_infinite_lam_is_usage_error(self, generated, tmp_path, capsys):
+        assert run(["extract", generated / "signal.csv", "--mode", "pogs", "--period1", 32,
+                    "--lam", "inf", "--out", tmp_path / "x"]) == 2
+        assert "lam must be a finite nonnegative real, got inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, cause", [
         ("y,w\n0.1,0.2\n0.3\n", "row 2 has 1 fields, expected 2"),
         ("0.1,0.2\n0.3,0.4\n", "headerless CSV must have a single column"),
         ("", "empty CSV"),
-    ], ids=["ragged-row", "headerless-two-columns", "empty-file"])
+        ("y\n0.1\nabc\n", "row 2, column 'y': not a number: 'abc'"),
+        ("y,y\n0.1,5\n0.2,6\n", "column name 'y' is repeated in the header"),
+    ], ids=["ragged-row", "headerless-two-columns", "empty-file", "non-numeric-cell",
+            "repeated-header"])
     def test_malformed_csv_is_usage_error(self, tmp_path, capsys, text, cause):
         path = tmp_path / "bad.csv"
         path.write_text(text)
         assert run(["extract", path, "--period1", 16, "--period2", 25,
                     "--out", tmp_path / "x"]) == 2
         assert capsys.readouterr().err == f"error: {path}: {cause}\n"
+
+
+def extract_with_config(generated, tmp_path, cfg, *flags, name="cfg"):
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return run(["extract", generated / "signal.csv", "--config", cfg_path, *flags,
+                "--out", tmp_path / name])
+
+
+class TestConfigFile:
+    def test_flag_overrides_file_prior(self, generated, tmp_path):
+        cfg = {"fault_freq_hz": [400, 241.5], "sample_rate_hz": 12800}
+        assert extract_with_config(generated, tmp_path, cfg, "--period2", 40) == 0
+        periods = json.loads((tmp_path / "cfg" / "manifest.json").read_text())["periods"]
+        assert periods[0]["fault_freq_hz"] == 400.0
+        assert periods[1]["period_samples"] == 40.0 and periods[1]["fault_freq_hz"] is None
+
+    def test_file_keeps_prior_the_flags_leave_out(self, generated, tmp_path):
+        cfg = {"period_samples": [32, 53]}
+        assert extract_with_config(generated, tmp_path, cfg, "--period1", 32) == 0
+        periods = json.loads((tmp_path / "cfg" / "manifest.json").read_text())["periods"]
+        assert [p["period_samples"] for p in periods] == [32.0, 53.0]
+
+    @pytest.mark.parametrize("cfg, flag", [
+        ({"n1": 3.7}, "--n1"),
+        ({"max_iter": 60.9}, "--max-iter"),
+        ({"max_iter": 60.0}, "--max-iter"),
+        ({"tol": None}, "--tol"),
+        ({"n1": None}, "--n1"),
+        ({"tol": "abc"}, "--tol"),
+    ], ids=["fractional-n1", "fractional-max-iter", "float-max-iter", "null-tol", "null-n1",
+            "text-tol"])
+    def test_bad_value_is_usage_error_naming_the_flag(self, generated, tmp_path, capsys,
+                                                      cfg, flag):
+        with pytest.raises(SystemExit) as exc:
+            extract_with_config(generated, tmp_path, {"period_samples": [32, 53], **cfg})
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    def test_bad_etas_names_the_flag(self, generated, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["bench-eta", generated / "signal.csv", "--period1", 32, "--period2", 53,
+                 "--etas", "0.5,abc", "--out", tmp_path / "s"])
+        assert exc.value.code == 2
+        assert "argument --etas: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, cause", [
+        ([32, 53], "a config file holds one JSON object"),
+        ({"period_samples": [32, 53, 7]}, "period_samples must be a scalar or a 2-element list"),
+        ({"period_samples": [32, 53], "n1": [3]}, "n1 must be a scalar or a 2-element list"),
+    ], ids=["not-an-object", "three-periods", "one-element-n1"])
+    def test_malformed_file_is_usage_error(self, generated, tmp_path, capsys, cfg, cause):
+        assert extract_with_config(generated, tmp_path, cfg) == 2
+        assert cause in capsys.readouterr().err
+
+    def test_both_prior_kinds_in_file_is_usage_error(self, generated, tmp_path, capsys):
+        cfg = {"period_samples": [32, 53], "fault_freq_hz": [400, 241.5],
+               "sample_rate_hz": 12800}
+        assert extract_with_config(generated, tmp_path, cfg) == 2
+        assert "not both" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, flags, rest", [
+        ({"eta": 0.4}, ["--eta", 0.4], None),
+        ({"a0_fraction": 0.3}, ["--a0-fraction", 0.3], None),
+        ({"penalty": "log"}, ["--penalty", "log"], None),
+        ({"n1": [3, 2]}, ["--n1", "3,2"], None),
+        ({"m": [4, 3]}, ["--m", "4,3"], None),
+        ({"max_iter": 60}, ["--max-iter", 60], None),
+        ({"tol": 1e-6}, ["--tol", 1e-6], None),
+        ({"period_samples": [32, 53]}, ["--period1", 32, "--period2", 53], []),
+        ({"fault_freq_hz": [400, 241.5]}, ["--freq1", 400, "--freq2", 241.5], ["--fs", 12800]),
+        ({"sample_rate_hz": 12800}, ["--fs", 12800], ["--freq1", 400, "--freq2", 241.5]),
+    ], ids=["eta", "a0_fraction", "penalty", "n1", "m", "max_iter", "tol", "period_samples",
+            "fault_freq_hz", "sample_rate_hz"])
+    def test_key_and_flag_give_same_components(self, generated, tmp_path, cfg, flags, rest):
+        rest = ["--period1", 32, "--period2", 53] if rest is None else rest
+        assert extract_with_config(generated, tmp_path, cfg, *rest) == 0
+        out = tmp_path / "flags"
+        assert run(["extract", generated / "signal.csv", *rest, *flags, "--out", out]) == 0
+        assert read_bytes(out / "components.csv") == read_bytes(tmp_path / "cfg" / "components.csv")
 
 
 class TestAnalyze:
