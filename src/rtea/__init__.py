@@ -11,7 +11,6 @@ from .params import (
     build_weight_array,
     default_config,
     estimate_sigma,
-    mca_config,
 )
 from .regularizers import (
     WeightArray,
@@ -27,7 +26,7 @@ from .solver import (
     pogs_solve,
     rtea_solve,
 )
-from .synth import Mixture, TransientTrain, add_awgn, gen_mixture, gen_train
+from .synth import Mixture, TransientTrain, gen_mixture, gen_train
 
 __version__ = "0.1.0"
 
@@ -41,7 +40,6 @@ __all__ = [
     "SolverConfig",
     "TransientTrain",
     "WeightArray",
-    "add_awgn",
     "beta_lookup",
     "build_weight_array",
     "check_convexity",
@@ -55,7 +53,6 @@ __all__ = [
     "group_penalty",
     "majorizer_denom",
     "majorizer_weights",
-    "mca_config",
     "penalty",
     "pogs_solve",
     "rmse",

@@ -24,7 +24,6 @@ from .params import (
     build_weight_array,
     default_config,
     estimate_sigma,
-    mca_config,
 )
 from .solver import NumericalError, check_convexity, pogs_solve, rtea_solve
 from .synth import gen_mixture
@@ -44,6 +43,8 @@ CONFIG_FLAGS = {
     "max_iter": "--max-iter",
     "tol": "--tol",
 }
+# The solver settings each run's record holds; extract's also holds eta.
+SETTINGS = ("a0_fraction", "penalty", "max_iter", "tol")
 
 
 def _env_seed(value):
@@ -134,9 +135,8 @@ def _periods(args) -> list[PeriodSpec]:
 
 
 def _solver_config(y, args, specs, eta):
-    """The solver config of one rtea or mca run of extract or bench-eta."""
-    if args.mode == "mca":
-        return mca_config(y, *specs, max_iter=args.max_iter, tol=args.tol)
+    """The solver config of one rtea or mca (``eta = 0``) run of extract or
+    bench-eta."""
     return default_config(
         y, *specs, eta=eta, a0_fraction=args.a0_fraction,
         family=args.penalty, max_iter=args.max_iter, tol=args.tol,
@@ -174,13 +174,12 @@ def cmd_extract(args) -> int:
     sigma = estimate_sigma(y)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    settings = ("eta", "a0_fraction", "penalty", "max_iter", "tol", "init")
     manifest = {
         "command": "extract",
         "mode": args.mode,
         "input": {"path": args.input, "sha256": fileio.sha256_file(args.input)},
         "sigma_hat": sigma,
-        "settings": {name: getattr(args, name) for name in settings},
+        "settings": {name: getattr(args, name) for name in ("eta", *SETTINGS)},
         "periods": [_period_snapshot(spec) for spec in specs],
         "metrics": {},
     }
@@ -206,18 +205,18 @@ def cmd_extract(args) -> int:
                 "each other (x1 == x2) and the decomposition degrades",
                 file=sys.stderr,
             )
-        solver_cfg = _solver_config(y, args, specs, args.eta)
-        init = "zeros" if args.init == "zeros" else None
-        result = rtea_solve(y, solver_cfg, init=init)
+        solver_cfg = _solver_config(y, args, specs, 0.0 if args.mode == "mca" else args.eta)
+        result = rtea_solve(y, solver_cfg)
         notes = [
             f"lambda0 = {solver_cfg.lam0:.6g}, lambda1 = {solver_cfg.lam1:.6g}, "
             f"lambda2 = {solver_cfg.lam2:.6g}"
         ]
         if solver_cfg.lam0 > 0:
-            ok, bound = check_convexity(solver_cfg.k0, solver_cfg.lam0, solver_cfg.pen0.a)
+            # SolverConfig has refused an a0 at or above the bound
+            _, bound = check_convexity(solver_cfg.k0, solver_cfg.lam0, solver_cfg.pen0.a)
             notes.append(
                 f"convexity bound 1/(k0*lam0) = {bound:.6g}, "
-                f"a0 = {solver_cfg.pen0.a:.6g} ({'ok' if ok else 'VIOLATED'})"
+                f"a0 = {solver_cfg.pen0.a:.6g} (ok)"
             )
         else:
             notes.append("convexity bound: not applicable (lam0 = 0)")
@@ -398,7 +397,7 @@ def cmd_bench_eta(args) -> int:
             "command": "bench-eta",
             "input": {"path": args.input, "sha256": fileio.sha256_file(args.input)},
             "etas": args.etas,
-            "a0_fraction": args.a0_fraction,
+            **{name: getattr(args, name) for name in SETTINGS},
             "periods": [_period_snapshot(spec) for spec in specs],
             "outputs": {"sweep": sweep_path},
             "timestamp": fileio.utc_timestamp(),
@@ -489,10 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("extract", parents=[s], help="run the decomposition on a CSV signal")
     e.add_argument("input", help="CSV with a 'y' column (or a single column)")
     e.add_argument("--mode", choices=("rtea", "mca", "pogs"), default="rtea")
-    e.add_argument("--eta", type=float, default=0.5, help="sparsity balance in (0,1), default 0.5")
+    e.add_argument("--eta", type=float, default=0.5,
+                   help="sparsity balance in [0,1), default 0.5; 0 is --mode mca")
     e.add_argument("--lam", type=float, default=None,
                    help="pogs mode only: regularization weight (default beta*sigma_hat)")
-    e.add_argument("--init", choices=("observation", "zeros"), default=None)
     e.set_defaults(func=cmd_extract)
 
     a = sub.add_parser("analyze", help="envelope spectra and peak report for components")

@@ -1,5 +1,5 @@
 """Parameter selection: periodic masks from fault periods, the calibrated
-regularization-multiplier table, noise estimation and ready-made configs.
+regularization-multiplier table, noise estimation and the solver config.
 """
 
 from __future__ import annotations
@@ -97,9 +97,10 @@ def _choose_lambdas(
 ) -> tuple[float, float, float]:
     """Split the regularization budget between the coupling and component
     penalties: ``lam0 = eta*beta0*sigma``, ``lam_i = 0.5*(1-eta)*beta_i*sigma``.
+    ``eta = 0`` drops the coupling term.
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")
+    if not 0.0 <= eta < 1.0:
+        raise ValueError(f"eta must lie in [0, 1), got {eta}")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     lam0 = eta * beta0 * sigma
@@ -143,7 +144,8 @@ def default_config(
     The coupling group size is min(n1, n1'); multipliers come from the
     table, the noise level from the MAD estimate of ``y``, and the coupling
     concavity is ``a0_fraction`` of the strict-convexity bound, so the
-    resulting problem is convex by construction.
+    resulting problem is convex by construction.  The ``abs`` family, and
+    ``eta = 0`` (no coupling term: the MCA baseline), take ``a0 = 0``.
     """
     if not 0.0 <= a0_fraction < 1.0:
         raise ValueError(f"a0_fraction must lie in [0, 1), got {a0_fraction}")
@@ -155,8 +157,9 @@ def default_config(
     beta2 = beta_lookup(spec2.n1, spec2.m)
     sigma = _lambda_scale(estimate_sigma(y))
     lam0, lam1, lam2 = _choose_lambdas(eta, beta0, beta1, beta2, sigma)
-    _, bound = check_convexity(k0, lam0, 0.0)
-    a0 = a0_fraction * bound
+    a0 = 0.0
+    if lam0 > 0 and family != "abs":
+        a0 = a0_fraction * check_convexity(k0, lam0, 0.0)[1]
     pen0 = PenaltySpec(family=family if a0 > 0 else "abs", a=a0)
     convex = PenaltySpec("abs")
     return SolverConfig(
@@ -167,35 +170,6 @@ def default_config(
         pen1=convex,
         pen2=convex,
         k0=k0,
-        b1=b1,
-        b2=b2,
-        max_iter=max_iter,
-        tol=tol,
-    )
-
-
-def mca_config(
-    y,
-    spec1: PeriodSpec,
-    spec2: PeriodSpec,
-    max_iter: int = 200,
-    tol: float = 1e-8,
-) -> SolverConfig:
-    """Config without the coupling term (the eta -> 0 limit), all convex."""
-    b1 = build_weight_array(spec1)
-    b2 = build_weight_array(spec2)
-    sigma = _lambda_scale(estimate_sigma(y))
-    lam1 = 0.5 * beta_lookup(spec1.n1, spec1.m) * sigma
-    lam2 = 0.5 * beta_lookup(spec2.n1, spec2.m) * sigma
-    convex = PenaltySpec("abs")
-    return SolverConfig(
-        lam0=0.0,
-        lam1=lam1,
-        lam2=lam2,
-        pen0=convex,
-        pen1=convex,
-        pen2=convex,
-        k0=min(spec1.n1, spec2.n1),
         b1=b1,
         b2=b2,
         max_iter=max_iter,

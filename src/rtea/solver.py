@@ -12,11 +12,10 @@ non-finite guard and the stop rule.  Each solver hands it a pair of
 closures: ``sums_and_cost`` evaluates the masked window sums and the cost
 at an iterate, and ``update`` turns those same sums into majorizer weights
 and the next iterate, so each iteration computes every masked sum once.
-:func:`rtea_solve` builds its pair from the config (:func:`eval_cost` and
-:func:`rtea_step` are that pair's cost and one update), and
-:func:`pogs_solve`, the single-component denoiser (all-ones mask = plain
-group-sparse denoising), builds its own.  ``lam0 = 0`` drops the coupling
-term (plain two-dictionary morphological decomposition).
+:func:`rtea_solve` builds its pair from the config, and :func:`pogs_solve`,
+the single-component denoiser (all-ones mask = plain group-sparse
+denoising), builds its own.  ``lam0 = 0`` drops the coupling term (plain
+two-dictionary morphological decomposition).
 """
 
 from __future__ import annotations
@@ -210,29 +209,6 @@ def _two_component(y: np.ndarray, cfg: SolverConfig):
     return sums_and_cost, update
 
 
-def _components(y, x1, x2):
-    y, x1, x2 = _as_signal(y), _as_signal(x1), _as_signal(x2)
-    if not (y.size == x1.size == x2.size):
-        raise ValueError(f"length mismatch: y={y.size}, x1={x1.size}, x2={x2.size}")
-    return y, x1, x2
-
-
-def eval_cost(y, x1, x2, cfg: SolverConfig) -> float:
-    """Objective value at (x1, x2): data term plus the three penalties."""
-    y, x1, x2 = _components(y, x1, x2)
-    sums_and_cost, _ = _two_component(y, cfg)
-    return sums_and_cost(x1, x2)[1]
-
-
-def rtea_step(y, x1, x2, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """One majorize-minimize update of both components: the update of
-    :func:`rtea_solve`'s loop, so the cost after it never exceeds the cost
-    before it."""
-    y, x1, x2 = _components(y, x1, x2)
-    sums_and_cost, update = _two_component(y, cfg)
-    return update(sums_and_cost(x1, x2)[0], x1, x2)
-
-
 def _resolve_init(y, init):
     if init is None:
         return y.copy(), y.copy()
@@ -254,10 +230,8 @@ def rtea_solve(y, cfg: SolverConfig, init=None) -> DecompositionResult:
     Starts from ``x1 = x2 = y`` unless ``init`` is ``"zeros"`` or an
     explicit pair, and runs the majorize-minimize loop until the cost
     changes by less than ``cfg.tol`` relative to ``max(cost, 1)`` or
-    ``cfg.max_iter`` iterations are done.  Each iteration is one
-    :func:`rtea_step`, and the cost history holds :func:`eval_cost` at every
-    iterate: both are the loop's own update and cost, so stepping manually
-    gives the same iterates bit for bit.
+    ``cfg.max_iter`` iterations are done.  The cost history holds the
+    objective at every iterate, the starting point included.
     """
     y = _observation(y)
     sums_and_cost, update = _two_component(y, cfg)

@@ -125,15 +125,6 @@ def gen_train(train: TransientTrain, n_samples: int) -> GeneratedTrain:
     )
 
 
-def add_awgn(x, sigma: float, seed=0) -> np.ndarray:
-    """Add seeded white Gaussian noise of standard deviation sigma."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    x = np.asarray(x, dtype=float)
-    rng = _rng_of(seed)
-    return x + rng.normal(0.0, sigma, size=x.shape)
-
-
 @dataclass(frozen=True)
 class Mixture:
     """Two-train observation with full ground truth."""

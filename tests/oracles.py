@@ -6,11 +6,13 @@ code paths used by the package.  The gradient and the majorizer gaps at the
 end are built from the package's public regularizer functions; they test
 identities that must hold between those functions.  The helpers in between
 (scalar majorizer, coupling penalty, single transient, row-wise CSV writer)
-are the small pieces of the model the tests call directly.
+are the small pieces of the model the tests call directly, and ``mm_step``
+takes one update of the solver's own loop.
 """
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from rtea.regularizers import (
     group_penalty,
     majorizer_weights,
 )
+from rtea.solver import rtea_solve
 from rtea.synth import _draw_transient
 
 
@@ -117,6 +120,19 @@ def csv_rowwise(columns):
             [str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row]
         )
     return buf.getvalue()
+
+
+def mm_step(y, x1, x2, cfg):
+    """One update of ``rtea_solve``'s loop from ``(x1, x2)``, taken by a
+    one-iteration ``rtea_solve``: returns the next iterate and the costs
+    ``[at (x1, x2), at the next iterate]``."""
+    res = rtea_solve(y, replace(cfg, max_iter=1), init=(x1, x2))
+    return res.x1, res.x2, res.cost_history
+
+
+def mm_cost(y, x1, x2, cfg):
+    """The objective at ``(x1, x2)`` as ``rtea_solve`` evaluates it."""
+    return mm_step(y, x1, x2, cfg)[2][0]
 
 
 def cost_loops(y, x1, x2, cfg):

@@ -47,10 +47,10 @@ def test_bench_imports_are_public(path):
 PUBLIC_NAMES = [
     "DecompositionResult", "EnvelopeSpectrum", "Mixture", "NumericalError",
     "PenaltySpec", "PeriodSpec", "SolverConfig", "TransientTrain", "WeightArray",
-    "add_awgn", "beta_lookup", "build_weight_array", "check_convexity",
+    "beta_lookup", "build_weight_array", "check_convexity",
     "combined_majorizer_weights", "default_config", "envelope_spectrum",
     "estimate_sigma", "find_peaks", "gen_mixture", "gen_train", "group_penalty",
-    "majorizer_denom", "majorizer_weights", "mca_config", "penalty", "pogs_solve",
+    "majorizer_denom", "majorizer_weights", "penalty", "pogs_solve",
     "rmse", "rtea_solve", "smoothed_penalty",
 ]
 

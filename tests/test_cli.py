@@ -113,6 +113,31 @@ class TestExtract:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["lam0"] == 0.0
 
+    def test_mca_mode_is_eta_zero(self, generated, tmp_path):
+        outputs = {}
+        for name, flags in (("mca", ["--mode", "mca"]), ("eta0", ["--eta", 0])):
+            out = tmp_path / name
+            assert run(["extract", generated / "signal.csv", "--period1", 32,
+                        "--period2", 53, *flags, "--out", out]) == 0
+            outputs[name] = [read_bytes(out / f) for f in ("components.csv", "cost.csv")]
+        assert outputs["mca"] == outputs["eta0"]
+
+    @pytest.mark.parametrize("command, files", [
+        ("extract", ("components.csv", "cost.csv")),
+        ("bench-eta", ("eta_sweep.csv",)),
+    ], ids=["extract", "bench-eta"])
+    def test_abs_penalty_takes_a0_zero(self, generated, tmp_path, command, files):
+        outputs = {}
+        for name, flags in (("abs", []), ("abs-a0-0", ["--a0-fraction", 0])):
+            out = tmp_path / name
+            assert run([command, generated / "signal.csv", "--period1", 32, "--period2", 53,
+                        "--penalty", "abs", "--max-iter", 60, *flags, "--out", out]) == 0
+            outputs[name] = [read_bytes(out / f) for f in files]
+        assert outputs["abs"] == outputs["abs-a0-0"]
+        if command == "extract":
+            config = json.loads((tmp_path / "abs" / "manifest.json").read_text())["config"]
+            assert config["a0"] == 0.0 and config["penalty0"] == "abs"
+
     def test_high_eta_warns(self, generated, tmp_path, capsys):
         out = tmp_path / "warn"
         assert run(["extract", generated / "signal.csv", "--period1", 32,
@@ -223,9 +248,17 @@ class TestExtract:
         cols = read_columns_csv(str(out / "components.csv"))
         assert len(cols["x1"]) == 256
 
-    @pytest.mark.parametrize("mode", ["rtea", "mca", "pogs"])
-    @pytest.mark.parametrize("flags", [["--max-iter", 0], ["--tol", -1], ["--tol", "nan"]],
-                             ids=["max-iter-0", "negative-tol", "nan-tol"])
+    @pytest.mark.parametrize("mode, flags", [
+        pytest.param(mode, flags, id=f"{name}-{mode}")
+        for name, flags, modes in (
+            ("max-iter-0", ["--max-iter", 0], ("rtea", "mca", "pogs")),
+            ("negative-tol", ["--tol", -1], ("rtea", "mca", "pogs")),
+            ("nan-tol", ["--tol", "nan"], ("rtea", "mca", "pogs")),
+            # pogs has no coupling term for a0 to shape
+            ("a0-fraction-1.5", ["--a0-fraction", 1.5], ("rtea", "mca")),
+        )
+        for mode in modes
+    ])
     def test_invalid_solver_settings_are_usage_errors(self, generated, tmp_path, mode, flags):
         assert run(["extract", generated / "signal.csv", "--mode", mode, "--period1", 32,
                     "--period2", 53, *flags, "--out", tmp_path / "x"]) == 2
@@ -431,6 +464,15 @@ class TestBenchEta:
         assert sweeps["file"] == sweeps["flag"]
         assert sweeps["file"] != sweeps["default"]
 
+    def test_record_holds_solver_settings(self, tmp_path):
+        out_gen = tmp_path / "gen"
+        assert run(["generate", "--n", 512, "--seed", 4, "--out", out_gen]) == 0
+        out = tmp_path / "sweep"
+        assert run(["bench-eta", out_gen / "signal.csv", "--period1", 32, "--period2", 53,
+                    "--max-iter", 1, "--penalty", "log", "--tol", 0.1, "--out", out]) == 0
+        record = json.loads((out / "eta_sweep.json").read_text())
+        assert (record["penalty"], record["max_iter"], record["tol"]) == ("log", 1, 0.1)
+
     def test_requires_truth(self, tmp_path):
         n = 128
         write_columns_csv(str(tmp_path / "y.csv"), {"y": np.random.default_rng(0).normal(size=n)})
@@ -439,10 +481,15 @@ class TestBenchEta:
 
 
 def test_console_entrypoint_help():
-    import subprocess, sys
+    import os, subprocess, sys
+    from pathlib import Path
 
+    import rtea
+
+    # the child imports the same rtea as this process, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(rtea.__file__).resolve().parent.parent))
     proc = subprocess.run(
-        [sys.executable, "-m", "rtea", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "rtea", "--help"], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "bench-eta" in proc.stdout

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from rtea.params import (
     _choose_lambdas,
     default_config,
     estimate_sigma,
-    mca_config,
 )
-from rtea.solver import check_convexity
+from rtea.penalties import PenaltySpec
+from rtea.solver import SolverConfig, check_convexity
 
 from oracles import dense_mask
 
@@ -108,7 +110,13 @@ class TestChooseLambdas:
         b = _choose_lambdas(0.3, 1.7, 0.475, 0.625, 3.5)
         np.testing.assert_allclose(np.asarray(b), 3.5 * np.asarray(a), rtol=1e-14)
 
-    @pytest.mark.parametrize("eta", [0.0, 1.0, -0.2, 1.4])
+    def test_eta_zero_drops_the_coupling_term(self):
+        beta1, beta2, sigma = 0.475, 0.625, 1.3
+        lam0, lam1, lam2 = _choose_lambdas(0.0, 1.7, beta1, beta2, sigma)
+        assert lam0 == 0.0
+        assert lam1 == 0.5 * beta1 * sigma and lam2 == 0.5 * beta2 * sigma
+
+    @pytest.mark.parametrize("eta", [1.0, -0.2, 1.4])
     def test_eta_out_of_range(self, eta):
         with pytest.raises(ValueError):
             _choose_lambdas(eta, 1.0, 1.0, 1.0, 1.0)
@@ -181,8 +189,20 @@ class TestDefaultConfig:
             default_config(self.y, self.s1, self.s2, a0_fraction=1.0)
 
     def test_mca_config(self):
-        cfg = mca_config(self.y, self.s1, self.s2)
+        # eta = 0 is the MCA baseline: no coupling term, every penalty convex
+        cfg = default_config(self.y, self.s1, self.s2, eta=0.0)
         sigma = estimate_sigma(self.y)
-        assert cfg.lam0 == 0.0
-        assert cfg.lam1 == pytest.approx(0.5 * 0.375 * sigma, rel=1e-12)
-        assert cfg.pen0.a == cfg.pen1.a == cfg.pen2.a == 0.0
+        convex = PenaltySpec("abs")
+        expected = SolverConfig(
+            lam0=0.0,
+            lam1=0.5 * beta_lookup(3, 4) * sigma,
+            lam2=0.5 * beta_lookup(3, 4) * sigma,
+            pen0=convex,
+            pen1=convex,
+            pen2=convex,
+            k0=3,
+            b1=build_weight_array(self.s1),
+            b2=build_weight_array(self.s2),
+        )
+        for field in dataclasses.fields(SolverConfig):
+            assert getattr(cfg, field.name) == getattr(expected, field.name), field.name

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rtea.synth import Mixture, TransientTrain, add_awgn, gen_mixture, gen_train
+from rtea.synth import Mixture, TransientTrain, gen_mixture, gen_train
 
 from oracles import gen_transient
 
@@ -106,24 +106,6 @@ class TestTrain:
         np.testing.assert_array_equal(a.onsets, b.onsets)
 
 
-class TestAwgn:
-    def test_zero_sigma_identity(self):
-        x = np.linspace(0, 1, 50)
-        np.testing.assert_array_equal(add_awgn(x, 0.0, seed=1), x)
-
-    def test_seeded_variance(self):
-        w = add_awgn(np.zeros(100_000), 1.5, seed=2)
-        assert np.var(w) == pytest.approx(1.5**2, rel=0.02)
-
-    def test_same_seed_same_noise(self):
-        x = np.zeros(64)
-        np.testing.assert_array_equal(add_awgn(x, 0.3, seed=3), add_awgn(x, 0.3, seed=3))
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            add_awgn(np.zeros(4), -0.1)
-
-
 class TestMixture:
     def test_additive_consistency(self):
         mix = gen_mixture(seed=4)
@@ -153,3 +135,11 @@ class TestMixture:
         mix = gen_mixture(seed=8, sigma=0.0)
         np.testing.assert_array_equal(mix.noise, 0.0)
         np.testing.assert_array_equal(mix.y, mix.x1 + mix.x2)
+
+    def test_seeded_noise_variance(self):
+        mix = gen_mixture(n_samples=100_000, sigma=1.5, seed=2)
+        assert np.var(mix.noise) == pytest.approx(1.5**2, rel=0.02)
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma must be >= 0, got -0.1"):
+            gen_mixture(sigma=-0.1)
