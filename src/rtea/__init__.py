@@ -4,7 +4,7 @@ repetition frequencies from envelope spectra.
 """
 
 from .analysis import EnvelopeSpectrum, envelope_spectrum, find_peaks, rmse
-from .penalties import PenaltySpec, majorizer_denom, penalty, smoothed_penalty
+from .penalties import PenaltySpec, majorizer_denom, smoothed_penalty
 from .params import (
     PeriodSpec,
     beta_lookup,
@@ -53,7 +53,6 @@ __all__ = [
     "group_penalty",
     "majorizer_denom",
     "majorizer_weights",
-    "penalty",
     "pogs_solve",
     "rmse",
     "rtea_solve",

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fileio
 from .analysis import envelope_spectrum, find_peaks, rmse
-from .penalties import PenaltySpec
+from .penalties import FAMILIES, PenaltySpec
 from .params import (
     PeriodSpec,
     _lambda_scale,
@@ -135,8 +135,7 @@ def _periods(args) -> list[PeriodSpec]:
 
 
 def _solver_config(y, args, specs, eta):
-    """The solver config of one rtea or mca (``eta = 0``) run of extract or
-    bench-eta."""
+    """The solver config of one rtea run of extract or bench-eta."""
     return default_config(
         y, *specs, eta=eta, a0_fraction=args.a0_fraction,
         family=args.penalty, max_iter=args.max_iter, tol=args.tol,
@@ -198,14 +197,14 @@ def cmd_extract(args) -> int:
         notes = [f"lambda = {lam:.6g}"]
         manifest["config"] = {"lam": lam, "b": _mask_snapshot(b)}
     else:
-        if args.mode == "rtea" and args.eta >= 0.9:
+        if args.eta >= 0.9:
             print(
                 f"warning: eta = {args.eta} puts almost all weight on the "
                 "combined-sparsity term; the two components tend to collapse onto "
                 "each other (x1 == x2) and the decomposition degrades",
                 file=sys.stderr,
             )
-        solver_cfg = _solver_config(y, args, specs, 0.0 if args.mode == "mca" else args.eta)
+        solver_cfg = _solver_config(y, args, specs, args.eta)
         result = rtea_solve(y, solver_cfg)
         notes = [
             f"lambda0 = {solver_cfg.lam0:.6g}, lambda1 = {solver_cfg.lam1:.6g}, "
@@ -321,16 +320,10 @@ def cmd_analyze(args) -> int:
     for name in names:
         x = cols[name]
         spec = envelope_spectrum(x, args.fs, nfft=args.nfft, smooth_hz=args.smooth_hz)
-        if np.any(spec.magnitude > 0):
-            peaks = find_peaks(
-                spec, tuple(args.band), n_harmonics=args.n_harmonics, tol_hz=args.tol_hz
-            )
-            peak_list = peaks.peaks[: args.max_peaks]
-            fundamental = peaks.fundamental_hz
-            score = peaks.harmonic_score
-            harmonics = peaks.harmonics_found
-        else:
-            peak_list, fundamental, score, harmonics = [], None, 0.0, []
+        peaks = find_peaks(
+            spec, tuple(args.band), n_harmonics=args.n_harmonics, tol_hz=args.tol_hz
+        )
+        fundamental, score = peaks.fundamental_hz, peaks.harmonic_score
         path = os.path.join(out, f"spectrum_{name}.csv")
         fileio.write_columns_csv(
             path,
@@ -345,8 +338,8 @@ def cmd_analyze(args) -> int:
             "rms": rms,
             "fundamental_hz": fundamental,
             "harmonic_score": score,
-            "harmonics_found": harmonics,
-            "peaks": [{"freq_hz": f, "magnitude": g} for f, g in peak_list],
+            "harmonics_found": peaks.harmonics_found,
+            "peaks": [{"freq_hz": f, "magnitude": g} for f, g in peaks.peaks[: args.max_peaks]],
         }
         report["outputs"][name] = path
         if fundamental is None:
@@ -434,6 +427,17 @@ def _comma_list(convert, ok, expected):
     return parse
 
 
+def _fraction(text):
+    """An argparse type: a float in [0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 <= value < 1:
+        raise argparse.ArgumentTypeError(f"expected a value in [0, 1), got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rtea",
@@ -475,9 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ones-run (group) length, or 'a,b' per component, default 3")
     s.add_argument("--m", type=per_component, default="4",
                    help="periods spanned by the mask, or 'a,b' per component, default 4")
-    s.add_argument("--a0-fraction", dest="a0_fraction", type=float, default=0.5,
+    s.add_argument("--a0-fraction", dest="a0_fraction", type=_fraction, default=0.5,
                    help="coupling concavity as a fraction of the convexity bound, default 0.5")
-    s.add_argument("--penalty", choices=("abs", "log", "rat", "atan"), default="atan",
+    s.add_argument("--penalty", choices=FAMILIES, default="atan",
                    help="penalty family for the coupling term, default atan")
     s.add_argument("--max-iter", type=int, default=200)
     s.add_argument("--tol", type=float, default=1e-8)
@@ -487,9 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("extract", parents=[s], help="run the decomposition on a CSV signal")
     e.add_argument("input", help="CSV with a 'y' column (or a single column)")
-    e.add_argument("--mode", choices=("rtea", "mca", "pogs"), default="rtea")
-    e.add_argument("--eta", type=float, default=0.5,
-                   help="sparsity balance in [0,1), default 0.5; 0 is --mode mca")
+    e.add_argument("--mode", choices=("rtea", "pogs"), default="rtea")
+    e.add_argument("--eta", type=_fraction, default=0.5,
+                   help="sparsity balance in [0,1), default 0.5; 0 drops the coupling term")
     e.add_argument("--lam", type=float, default=None,
                    help="pogs mode only: regularization weight (default beta*sigma_hat)")
     e.set_defaults(func=cmd_extract)

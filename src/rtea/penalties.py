@@ -1,10 +1,10 @@
 """Sparsity-promoting penalty families and their scalar quadratic majorizers.
 
 Four families are supported: "abs" (plain absolute value), and three
-non-convex relatives "log", "rat" and "atan".  Each family comes in a raw
-and a smoothed variant; the smoothed one replaces |u| by sqrt(u^2 + eps)
-so that it is continuously differentiable everywhere.  All functions are
-vectorized over numpy arrays and accept plain scalars.
+non-convex relatives "log", "rat" and "atan".  The package uses the
+smoothed form of each, which evaluates the raw penalty at sqrt(u^2 + eps)
+instead of |u| so that it is continuously differentiable everywhere.  All
+functions are vectorized over numpy arrays and accept plain scalars.
 """
 
 from __future__ import annotations
@@ -67,12 +67,6 @@ def _denom_at(t, a, family):
         return t * (1.0 + 0.5 * a * t) ** 2
     at = a * t
     return t * (1.0 + at + at * at)
-
-
-def penalty(u, spec: PenaltySpec):
-    """Raw (non-smoothed) penalty value; even in u, increasing on u >= 0."""
-    u = np.asarray(u, dtype=float)
-    return _value_at(np.abs(u), spec.a, spec.family)
 
 
 def smoothed_penalty(u, spec: PenaltySpec):

@@ -8,13 +8,15 @@ Each iteration minimizes a separable quadratic majorizer of the objective,
 so the cost is guaranteed nonincreasing.
 
 The iteration exists once, in :func:`_mm`: it owns the cost history, the
-non-finite guard and the stop rule.  Each solver hands it a pair of
-closures: ``sums_and_cost`` evaluates the masked window sums and the cost
-at an iterate, and ``update`` turns those same sums into majorizer weights
-and the next iterate, so each iteration computes every masked sum once.
-:func:`rtea_solve` builds its pair from the config, and :func:`pogs_solve`,
+non-finite guard and the stop rule.  The objective exists once, in
+:func:`_objective`, which builds the pair of closures the loop calls:
+``sums_and_cost`` evaluates the masked window sums and the cost at an
+iterate, and ``update`` turns those same sums into majorizer weights and
+the next iterate, so each iteration computes every masked sum once.
+:func:`rtea_solve` builds it for two components, and :func:`pogs_solve`,
 the single-component denoiser (all-ones mask = plain group-sparse
-denoising), builds its own.  ``lam0 = 0`` drops the coupling term (plain
+denoising), for one component without the coupling term.  Both refuse a
+non-convex component penalty.  ``lam0 = 0`` drops the coupling term (plain
 two-dictionary morphological decomposition).
 """
 
@@ -54,9 +56,16 @@ def check_convexity(k0: int, lam0: float, a0: float) -> tuple[bool, float]:
     return a0 < bound, bound
 
 
-def _check_run(max_iter: int, tol: float, **lams: float) -> None:
-    """The checks every solver makes of its settings: each weight finite and
-    nonnegative, at least one iteration and a positive stop tolerance."""
+def _check_run(max_iter: int, tol: float, pens, **lams: float) -> None:
+    """The checks every solver makes of its settings: each component penalty
+    in ``pens`` convex (``a == 0``), each weight finite and nonnegative, at
+    least one iteration and a positive stop tolerance."""
+    for pen in pens:
+        if pen.a != 0:
+            raise ValueError(
+                f"a component penalty must be convex (a == 0), got a = {pen.a}: "
+                "only the coupling penalty may be non-convex"
+            )
     for name, v in lams.items():
         if not np.isfinite(v) or v < 0:
             raise ValueError(f"{name} must be a finite nonnegative real, got {v}")
@@ -90,21 +99,18 @@ class SolverConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        _check_run(self.max_iter, self.tol, lam0=self.lam0, lam1=self.lam1, lam2=self.lam2)
+        lams = {"lam0": self.lam0, "lam1": self.lam1, "lam2": self.lam2}
+        _check_run(self.max_iter, self.tol, (self.pen1, self.pen2), **lams)
         if self.k0 < 1:
             raise ValueError(f"group size k0 must be >= 1, got {self.k0}")
         for name in ("b1", "b2"):
             b = getattr(self, name)
             if not isinstance(b, WeightArray):
                 raise TypeError(f"{name} must be a WeightArray, got {type(b).__name__}")
-        if self.lam0 == 0 and (self.pen0.a or self.pen1.a or self.pen2.a):
+        if self.lam0 == 0 and self.pen0.a:
             raise ValueError(
-                "lam0 == 0 (no coupling term) requires all concavity parameters "
-                "a to be 0: convexity cannot be restored by the data term"
-            )
-        if self.pen1.a != 0 or self.pen2.a != 0:
-            raise ValueError(
-                "only the coupling penalty may be non-convex; set pen1.a = pen2.a = 0"
+                "lam0 == 0 (no coupling term) requires the coupling concavity "
+                "pen0.a to be 0: convexity cannot be restored by the data term"
             )
         if self.lam0 > 0:
             ok, bound = check_convexity(self.k0, self.lam0, self.pen0.a)
@@ -165,46 +171,44 @@ def _mm(xs, sums_and_cost, update, max_iter: int, tol: float):
     return xs, np.asarray(costs), iterations, converged
 
 
-def _two_component(y: np.ndarray, cfg: SolverConfig):
-    """The ``(sums_and_cost, update)`` pair of the two-component objective."""
+def _objective(y: np.ndarray, groups, coupling):
+    """The ``(sums_and_cost, update)`` pair of the objective
+
+        0.5*||y - sum(xs)||^2 + lam0*P(sum(xs); k0) + sum_i lam_i*P(x_i; b_i)
+
+    over one component per entry of ``groups``, each ``(lam, b, pen)``.
+    ``coupling`` is ``(lam0, k0, pen0)`` of the all-ones-mask penalty on the
+    sum, or None to drop that term; ``t`` then stays the scalar 1.
+    """
     n = y.size
-    b0 = WeightArray.ones(cfg.k0)
-    for b in (b0, cfg.b1, cfg.b2):
+    for _, b, _ in groups:
         _check_mask(b, n)
-    use0, use1, use2 = cfg.lam0 > 0, cfg.lam1 > 0, cfg.lam2 > 0
+    if coupling is not None:
+        lam0, k0, pen0 = coupling
+        b0 = WeightArray.ones(k0)
+        _check_mask(b0, n)
 
-    def sums_and_cost(x1, x2):
-        both = x1 + x2
-        s0 = b0._convolve(both * both) if use0 else None
-        s1 = cfg.b1._convolve(x1 * x1) if use1 else None
-        s2 = cfg.b2._convolve(x2 * x2) if use2 else None
+    def sums_and_cost(*xs):
+        both = xs[0] if len(xs) == 1 else xs[0] + xs[1]
+        s0 = None if coupling is None else b0._convolve(both * both)
+        sums = [b._convolve(x * x) for x, (_, b, _) in zip(xs, groups)]
         total = _half_sq_norm(y - both)
-        if use0:
-            total += cfg.lam0 * _penalty_from_sums(s0, cfg.pen0)
-        # single parenthesized pair keeps the total invariant under a 1<->2 swap
-        reg12 = 0.0
-        if use1:
-            reg12 += cfg.lam1 * _penalty_from_sums(s1, cfg.pen1)
-        if use2:
-            reg12 += cfg.lam2 * _penalty_from_sums(s2, cfg.pen2)
-        return (s0, s1, s2), total + reg12
+        if coupling is not None:
+            total += lam0 * _penalty_from_sums(s0, pen0)
+        # the component terms summed apart keep the total invariant under a 1<->2 swap
+        reg = 0.0
+        for s, (lam, _, pen) in zip(sums, groups):
+            reg += lam * _penalty_from_sums(s, pen)
+        return (sums, s0), total + reg
 
-    def update(sums, x1, x2):
-        # the majorizer is separable per sample: two elementwise divisions
-        s0, s1, s2 = sums
-        if use0:
-            t = 1.0 + cfg.lam0 * _weights(b0, s0, n, cfg.pen0)
-        else:
-            t = np.ones_like(y)
-        p1 = 2.0 * t
-        p2 = 2.0 * t
-        if use1:
-            p1 = p1 + cfg.lam1 * _weights(cfg.b1, s1, n, cfg.pen1)
-        if use2:
-            p2 = p2 + cfg.lam2 * _weights(cfg.b2, s2, n, cfg.pen2)
-        q1 = y + t * (x1 - x2)
-        q2 = y + t * (x2 - x1)
-        return q1 / p1, q2 / p2
+    def update(all_sums, *xs):
+        # the majorizer is separable per sample: one elementwise division per component
+        sums, s0 = all_sums
+        t = 1.0 if coupling is None else 1.0 + lam0 * _weights(b0, s0, n, pen0)
+        kt = len(xs) * t
+        ps = [kt + lam * _weights(b, s, n, pen) for s, (lam, b, pen) in zip(sums, groups)]
+        qs = (y,) if len(xs) == 1 else (y + t * (xs[0] - xs[1]), y + t * (xs[1] - xs[0]))
+        return [q / p for q, p in zip(qs, ps)]
 
     return sums_and_cost, update
 
@@ -213,12 +217,8 @@ def _resolve_init(y, init):
     if init is None:
         return y.copy(), y.copy()
     if isinstance(init, str):
-        if init == "zeros":
-            return np.zeros_like(y), np.zeros_like(y)
-        raise ValueError(f"unknown init {init!r}; expected 'zeros' or a pair of arrays")
-    x1, x2 = init
-    x1 = _as_signal(x1).copy()
-    x2 = _as_signal(x2).copy()
+        raise ValueError(f"init must be None or a pair of arrays, got {init!r}")
+    x1, x2 = (_as_signal(x).copy() for x in init)
     if x1.size != y.size or x2.size != y.size:
         raise ValueError("init components must match the observation length")
     return x1, x2
@@ -227,14 +227,16 @@ def _resolve_init(y, init):
 def rtea_solve(y, cfg: SolverConfig, init=None) -> DecompositionResult:
     """Decompose ``y`` into two repetitive group-sparse components.
 
-    Starts from ``x1 = x2 = y`` unless ``init`` is ``"zeros"`` or an
-    explicit pair, and runs the majorize-minimize loop until the cost
-    changes by less than ``cfg.tol`` relative to ``max(cost, 1)`` or
-    ``cfg.max_iter`` iterations are done.  The cost history holds the
+    Starts from ``x1 = x2 = y`` unless ``init`` is an explicit pair, and
+    runs the majorize-minimize loop until the cost changes by less than
+    ``cfg.tol`` relative to ``max(cost, 1)`` or ``cfg.max_iter``
+    iterations are done.  The cost history holds the
     objective at every iterate, the starting point included.
     """
     y = _observation(y)
-    sums_and_cost, update = _two_component(y, cfg)
+    groups = ((cfg.lam1, cfg.b1, cfg.pen1), (cfg.lam2, cfg.b2, cfg.pen2))
+    coupling = (cfg.lam0, cfg.k0, cfg.pen0) if cfg.lam0 > 0 else None
+    sums_and_cost, update = _objective(y, groups, coupling)
     (x1, x2), costs, iterations, converged = _mm(
         _resolve_init(y, init), sums_and_cost, update, cfg.max_iter, cfg.tol
     )
@@ -259,25 +261,18 @@ def pogs_solve(
 ):
     """Single-component group-sparse denoiser (periodic or plain mask).
 
-    Minimizes ``0.5*||y - x||^2 + lam * group_penalty(x, b, spec)`` with the
-    same majorize-minimize loop and stop rule as :func:`rtea_solve`; with an
-    all-ones mask this is the plain overlapping group-sparsity denoiser.
-    Returns the denoised signal, or ``(x, cost_history, iterations,
-    converged)`` with ``full_output``.
+    Minimizes ``0.5*||y - x||^2 + lam * group_penalty(x, b, spec)``, the
+    one-component case of :func:`rtea_solve`'s objective, with the same
+    loop, stop rule and component rule (``spec.a == 0``); with an all-ones
+    mask this is the plain overlapping group-sparsity denoiser.  Returns
+    the denoised signal, or ``(x, cost_history, iterations, converged)``
+    with ``full_output``.
     """
     y = _observation(y)
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
-    _check_run(max_iter, tol, lam=lam)
-    _check_mask(b, y.size)
-
-    def sums_and_cost(x):
-        s = b._convolve(x * x)
-        return s, _half_sq_norm(y - x) + lam * _penalty_from_sums(s, spec)
-
-    def update(s, x):
-        return (y / (1.0 + lam * _weights(b, s, y.size, spec)),)
-
+    _check_run(max_iter, tol, (spec,), lam=lam)
+    sums_and_cost, update = _objective(y, ((lam, b, spec),), None)
     (x,), costs, iterations, converged = _mm((y.copy(),), sums_and_cost, update, max_iter, tol)
     if full_output:
         return x, costs, iterations, converged

@@ -5,9 +5,9 @@ from the definitions, deliberately avoiding the convolution/sliding-window
 code paths used by the package.  The gradient and the majorizer gaps at the
 end are built from the package's public regularizer functions; they test
 identities that must hold between those functions.  The helpers in between
-(scalar majorizer, coupling penalty, single transient, row-wise CSV writer)
-are the small pieces of the model the tests call directly, and ``mm_step``
-takes one update of the solver's own loop.
+(raw penalty, scalar majorizer, coupling penalty, single transient, row-wise
+CSV writer) are the small pieces of the model the tests call directly, and
+``mm_step`` takes one update of the solver's own loop.
 """
 
 import csv
@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from rtea.penalties import majorizer_denom, smoothed_penalty
+from rtea.penalties import _value_at, majorizer_denom, smoothed_penalty
 from rtea.regularizers import (
     WeightArray,
     _as_signal,
@@ -82,6 +82,11 @@ def weights_loops(z, b, spec):
 
 def combined_weights_loops(z, k0, spec):
     return weights_loops(z, np.ones(k0), spec)
+
+
+def penalty(u, spec):
+    """Raw (non-smoothed) penalty value; even in u, increasing on u >= 0."""
+    return _value_at(np.abs(np.asarray(u, dtype=float)), spec.a, spec.family)
 
 
 def majorize_scalar(u, v, spec):

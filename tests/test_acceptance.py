@@ -137,7 +137,7 @@ def test_c2_descent_and_optimality():
         y, cfg = random_solver_instance(rng)
         srng = np.random.default_rng(1000 + trial)
         finals = []
-        for init in (None, "zeros",
+        for init in (None, (np.zeros(y.size), np.zeros(y.size)),
                      (0.05 * srng.normal(size=y.size), 0.05 * srng.normal(size=y.size))):
             res = rtea_solve(y, cfg, init=init)
             worst_increase = max(worst_increase, float(np.max(np.diff(res.cost_history))))

@@ -50,7 +50,7 @@ PUBLIC_NAMES = [
     "beta_lookup", "build_weight_array", "check_convexity",
     "combined_majorizer_weights", "default_config", "envelope_spectrum",
     "estimate_sigma", "find_peaks", "gen_mixture", "gen_train", "group_penalty",
-    "majorizer_denom", "majorizer_weights", "penalty", "pogs_solve",
+    "majorizer_denom", "majorizer_weights", "pogs_solve",
     "rmse", "rtea_solve", "smoothed_penalty",
 ]
 

@@ -11,6 +11,19 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def exit_code(args):
+    """The exit status a shell sees: main's return value, or the status of
+    argparse's exit when the arguments fail to parse."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+# the flags of each extract decomposition; mca is the rtea objective at eta = 0
+MODE_FLAGS = {"rtea": ["--mode", "rtea"], "mca": ["--eta", 0], "pogs": ["--mode", "pogs"]}
+
+
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -108,19 +121,24 @@ class TestExtract:
 
     def test_mca_mode(self, generated, tmp_path):
         out = tmp_path / "mca"
-        assert run(["extract", generated / "signal.csv", "--mode", "mca",
+        assert run(["extract", generated / "signal.csv", *MODE_FLAGS["mca"],
                     "--period1", 32, "--period2", 53, "--out", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["lam0"] == 0.0
 
-    def test_mca_mode_is_eta_zero(self, generated, tmp_path):
-        outputs = {}
-        for name, flags in (("mca", ["--mode", "mca"]), ("eta0", ["--eta", 0])):
-            out = tmp_path / name
-            assert run(["extract", generated / "signal.csv", "--period1", 32,
-                        "--period2", 53, *flags, "--out", out]) == 0
-            outputs[name] = [read_bytes(out / f) for f in ("components.csv", "cost.csv")]
-        assert outputs["mca"] == outputs["eta0"]
+    @pytest.mark.parametrize("flags, argument", [
+        (["--mode", "mca", "--eta", 1.5], "--mode"),
+        (["--mode", "pogs", "--eta", 7], "--eta"),
+        (["--mode", "pogs", "--a0-fraction", 1.5], "--a0-fraction"),
+    ], ids=["mca-eta-1.5", "pogs-eta-7", "pogs-a0-fraction-1.5"])
+    def test_out_of_range_setting_fails_at_parse(self, generated, tmp_path, capsys,
+                                                  flags, argument):
+        # every mode checks every setting, also one its decomposition ignores
+        out = tmp_path / "x"
+        assert exit_code(["extract", generated / "signal.csv", "--period1", 32,
+                          "--period2", 53, *flags, "--out", out]) == 2
+        assert f"argument {argument}: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, files", [
         ("extract", ("components.csv", "cost.csv")),
@@ -195,7 +213,7 @@ class TestExtract:
         n = 256
         y = 1e200 * np.random.default_rng(0).normal(size=n)
         write_columns_csv(str(tmp_path / "huge.csv"), {"y": y})
-        assert run(["extract", tmp_path / "huge.csv", "--mode", mode, "--period1", 16,
+        assert run(["extract", tmp_path / "huge.csv", *MODE_FLAGS[mode], "--period1", 16,
                     "--period2", 25, "--out", tmp_path / "x"]) == 3
         assert "cost became non-finite" in capsys.readouterr().err
 
@@ -205,7 +223,7 @@ class TestExtract:
         y = np.zeros(400)
         y[::40] = 1.0
         write_columns_csv(str(tmp_path / "impulses.csv"), {"y": y})
-        assert run(["extract", tmp_path / "impulses.csv", "--mode", mode,
+        assert run(["extract", tmp_path / "impulses.csv", *MODE_FLAGS[mode],
                     "--period1", 40, "--period2", 53, "--out", tmp_path / "o"]) == 2
         # one message, from the one check every mode goes through
         assert capsys.readouterr().err.startswith("error: noise estimate is 0.0, ")
@@ -254,14 +272,15 @@ class TestExtract:
             ("max-iter-0", ["--max-iter", 0], ("rtea", "mca", "pogs")),
             ("negative-tol", ["--tol", -1], ("rtea", "mca", "pogs")),
             ("nan-tol", ["--tol", "nan"], ("rtea", "mca", "pogs")),
-            # pogs has no coupling term for a0 to shape
-            ("a0-fraction-1.5", ["--a0-fraction", 1.5], ("rtea", "mca")),
+            ("a0-fraction-1.5", ["--a0-fraction", 1.5], ("rtea", "mca", "pogs")),
         )
         for mode in modes
     ])
     def test_invalid_solver_settings_are_usage_errors(self, generated, tmp_path, mode, flags):
-        assert run(["extract", generated / "signal.csv", "--mode", mode, "--period1", 32,
-                    "--period2", 53, *flags, "--out", tmp_path / "x"]) == 2
+        # --a0-fraction is range-checked as it is parsed, the others by the solver
+        assert exit_code(["extract", generated / "signal.csv", *MODE_FLAGS[mode],
+                          "--period1", 32, "--period2", 53, *flags,
+                          "--out", tmp_path / "x"]) == 2
 
     def test_infinite_lam_is_usage_error(self, generated, tmp_path, capsys):
         assert run(["extract", generated / "signal.csv", "--mode", "pogs", "--period1", 32,
@@ -421,6 +440,18 @@ class TestAnalyze:
         report = json.loads((out / "peaks.json").read_text())
         assert report["components"]["x1"]["peaks"] == []
         assert report["components"]["x1"]["fundamental_hz"] is None
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0], ids=["zero", "nonzero"])
+    def test_band_outside_spectrum_is_usage_error(self, tmp_path, capsys, scale):
+        # the band check holds for every component, also an all-zero one
+        n = 512
+        x = scale * np.random.default_rng(3).normal(size=(2, n))
+        write_columns_csv(
+            str(tmp_path / "components.csv"), {"index": np.arange(n), "x1": x[0], "x2": x[1]}
+        )
+        assert run(["analyze", tmp_path / "components.csv", "--fs", 100, "--band", 5000, 6000,
+                    "--out", tmp_path / "an"]) == 2
+        assert "lies outside the spectrum range" in capsys.readouterr().err
 
 
     def test_nonfinite_component_is_usage_error(self, tmp_path, capsys):

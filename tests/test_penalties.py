@@ -9,11 +9,10 @@ from rtea.penalties import (
     FAMILIES,
     PenaltySpec,
     majorizer_denom,
-    penalty,
     smoothed_penalty,
 )
 
-from oracles import majorize_scalar
+from oracles import majorize_scalar, penalty
 
 NONCONVEX = ("log", "rat", "atan")
 

@@ -13,7 +13,15 @@ from rtea.solver import (
 from rtea.synth import gen_mixture, gen_train, TransientTrain
 from rtea.analysis import rmse
 
-from oracles import analytic_gradient, combined_majorizer_gap, cost_loops, mm_cost, mm_step
+from oracles import (
+    analytic_gradient,
+    combined_majorizer_gap,
+    cost_loops,
+    dense_mask,
+    group_penalty_loops,
+    mm_cost,
+    mm_step,
+)
 
 ABS = PenaltySpec("abs")
 
@@ -199,7 +207,7 @@ class TestSolve:
             tol=1e-12,
         )
         res_a = rtea_solve(mix.y, cfg)
-        res_b = rtea_solve(mix.y, cfg, init="zeros")
+        res_b = rtea_solve(mix.y, cfg, init=(np.zeros(256), np.zeros(256)))
         res_c = rtea_solve(
             mix.y, cfg, init=(0.05 * rng.normal(size=256), 0.05 * rng.normal(size=256))
         )
@@ -283,8 +291,9 @@ class TestSolve:
             rtea_solve(y, small_config())
 
     def test_unknown_init_rejected(self):
-        with pytest.raises(ValueError):
-            rtea_solve(np.zeros(30), small_config(), init="warm")
+        for init in ("warm", "zeros"):
+            with pytest.raises(ValueError, match="init must be None or a pair of arrays"):
+                rtea_solve(np.zeros(30), small_config(), init=init)
 
     def test_mask_longer_than_signal_rejected(self):
         with pytest.raises(ValueError, match="mask length 25 exceeds signal length 20"):
@@ -378,6 +387,25 @@ class TestPogs:
     def test_checks_settings_as_solver_config_does(self, lam, settings, cause):
         with pytest.raises(ValueError, match=cause):
             pogs_solve(np.zeros(10), WeightArray.ones(2), lam, ABS, **settings)
+
+    def test_refuses_nonconvex_penalty(self):
+        # the component rule SolverConfig applies to pen1/pen2
+        y = np.random.default_rng(18).normal(size=100)
+        with pytest.raises(ValueError, match="only the coupling penalty may be non-convex"):
+            pogs_solve(y, WeightArray.ones(3), 0.8, PenaltySpec("atan", a=50.0), full_output=True)
+        with pytest.raises(ValueError, match="only the coupling penalty may be non-convex"):
+            small_config(pen2=PenaltySpec("log", a=0.5, eps=1e-8))
+
+    @pytest.mark.parametrize("family", ["abs", "log", "rat", "atan"])
+    def test_final_cost_matches_brute_force(self, family):
+        # the one-component branch of the shared objective, as cost_loops
+        # checks the two-component one
+        rng = np.random.default_rng(23)
+        y = rng.normal(size=60)
+        b, lam, spec = WeightArray(2, 7, 2), 0.6, PenaltySpec(family, eps=1e-8)
+        x, costs, _, _ = pogs_solve(y, b, lam, spec, max_iter=40, full_output=True)
+        expected = 0.5 * np.sum((y - x) ** 2) + lam * group_penalty_loops(x, dense_mask(b), spec)
+        assert costs[-1] == pytest.approx(expected, rel=1e-12)
 
     def test_bad_mask_rejected(self):
         with pytest.raises(TypeError):
