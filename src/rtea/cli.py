@@ -168,6 +168,11 @@ def _read_observation(path):
 
 
 def cmd_extract(args) -> int:
+    if args.lam is not None and args.mode != "pogs":
+        raise ValueError(
+            f"--lam applies to --mode pogs only; --mode {args.mode} sets its "
+            "weights from --eta and the noise estimate"
+        )
     y, truth = _read_observation(args.input)
     specs = _periods(args)
     sigma = estimate_sigma(y)

@@ -4,7 +4,9 @@ Four families are supported: "abs" (plain absolute value), and three
 non-convex relatives "log", "rat" and "atan".  The package uses the
 smoothed form of each, which evaluates the raw penalty at sqrt(u^2 + eps)
 instead of |u| so that it is continuously differentiable everywhere.  All
-functions are vectorized over numpy arrays and accept plain scalars.
+functions are vectorized over numpy arrays and accept plain scalars.  A group
+penalty's smoothed window norms ``sqrt(S + eps)``, computed once per iterate,
+give both its cost (``_value_at``) and its majorizer weights (``_denom_at``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ class PenaltySpec:
     ``a`` controls how aggressively the penalty promotes sparsity; ``a = 0``
     always degenerates to the "abs" penalty.  ``eps`` must stay strictly
     positive so that every derived quantity (in particular the majorizer
-    denominator) is bounded away from zero.
+    denominator) is bounded away from zero.  Both must be finite.
     """
 
     family: str = "abs"
@@ -35,19 +37,19 @@ class PenaltySpec:
             raise ValueError(
                 f"unknown penalty family {self.family!r}, expected one of {FAMILIES}"
             )
-        if self.a < 0:
-            raise ValueError(f"concavity parameter a must be >= 0, got {self.a}")
+        if not 0 <= self.a < np.inf:
+            raise ValueError(f"concavity parameter a must be finite and >= 0, got {self.a}")
         if self.family == "abs" and self.a != 0:
             raise ValueError("'abs' penalty requires a == 0")
-        if not self.eps > 0:
-            raise ValueError(f"smoothing eps must be > 0, got {self.eps}")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"smoothing eps must be finite and > 0, got {self.eps}")
 
 
 def _value_at(t, a, family):
     # Penalty evaluated at a nonnegative magnitude t.  a == 0 is handled by
     # the abs branch for every family (closed forms divide by a otherwise).
     if a == 0.0 or family == "abs":
-        return +t
+        return t
     if family == "log":
         return np.log1p(a * t) / a
     if family == "rat":
@@ -60,7 +62,7 @@ def _value_at(t, a, family):
 def _denom_at(t, a, family):
     # t / (d/dt of the smoothed penalty), evaluated at magnitude t >= 0.
     if a == 0.0 or family == "abs":
-        return +t
+        return t
     if family == "log":
         return t * (1.0 + a * t)
     if family == "rat":
@@ -85,12 +87,3 @@ def majorizer_denom(u, spec: PenaltySpec):
     u = np.asarray(u, dtype=float)
     return _denom_at(np.sqrt(u * u + spec.eps), spec.a, spec.family)
 
-
-def _smoothed_sq(s, spec: PenaltySpec):
-    # Smoothed penalty given the squared argument s = u^2 >= 0.
-    return _value_at(np.sqrt(s + spec.eps), spec.a, spec.family)
-
-
-def _denom_sq(s, spec: PenaltySpec):
-    # Majorizer denominator given the squared argument s = u^2 >= 0.
-    return _denom_at(np.sqrt(s + spec.eps), spec.a, spec.family)

@@ -5,9 +5,10 @@ the signal.  Signals are zero-padded, and the window sum runs over every
 position where the mask overlaps the signal, i.e. positions
 ``-(K-1) .. N-1`` for a mask of length K over a signal of length N.
 
-Both the penalty and the weight sequences reduce to convolutions with the
-mask, and both go through one primitive, :meth:`WeightArray._convolve`.  A
-mask is m+1 copies of an n1-sample box at stride ``period``, so each
+Both the penalty and the weight sequences come from a term's smoothed
+window norms ``sqrt(S + eps)``, computed once per iterate by :func:`_norms`,
+and every convolution with a mask goes through :meth:`WeightArray._convolve`.
+A mask is m+1 copies of an n1-sample box at stride ``period``, so each
 convolution is one length-n1 box convolution plus m+1 shifted slice-adds:
 O(N*(n1+m)) work instead of O(N*K), with every sum of nonnegative terms
 staying nonnegative.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .penalties import PenaltySpec, _denom_sq, _smoothed_sq
+from .penalties import PenaltySpec, _denom_at, _value_at
 
 
 @dataclass(frozen=True)
@@ -94,13 +95,18 @@ def _as_signal(x) -> np.ndarray:
     return x
 
 
-def _penalty_from_sums(s: np.ndarray, spec: PenaltySpec) -> float:
-    return float(np.sum(_smoothed_sq(s, spec)))
+def _norms(b: WeightArray, x: np.ndarray, spec: PenaltySpec) -> np.ndarray:
+    # smoothed window norms sqrt(S + eps) of x under b, for the term's cost and weights
+    return np.sqrt(b._convolve(x * x) + spec.eps)
 
 
-def _weights(b: WeightArray, s: np.ndarray, n: int, spec: PenaltySpec) -> np.ndarray:
-    # majorizer weights of the n-sample signal whose window sums under b are s
-    return b._convolve(1.0 / _denom_sq(s, spec), len(b) - 1, n)
+def _penalty(u: np.ndarray, spec: PenaltySpec) -> float:
+    return float(np.sum(_value_at(u, spec.a, spec.family)))
+
+
+def _weights(b: WeightArray, u: np.ndarray, n: int, spec: PenaltySpec) -> np.ndarray:
+    # majorizer weights of the n-sample signal whose smoothed window norms under b are u
+    return b._convolve(1.0 / _denom_at(u, spec.a, spec.family), len(b) - 1, n)
 
 
 def group_penalty(x, b, spec: PenaltySpec) -> float:
@@ -111,7 +117,7 @@ def group_penalty(x, b, spec: PenaltySpec) -> float:
     """
     x = _as_signal(x)
     _check_mask(b, x.size)
-    return _penalty_from_sums(b._convolve(x * x), spec)
+    return _penalty(_norms(b, x, spec), spec)
 
 
 def majorizer_weights(z, b, spec: PenaltySpec) -> np.ndarray:
@@ -122,7 +128,7 @@ def majorizer_weights(z, b, spec: PenaltySpec) -> np.ndarray:
     """
     z = _as_signal(z)
     _check_mask(b, z.size)
-    return _weights(b, b._convolve(z * z), z.size, spec)
+    return _weights(b, _norms(b, z, spec), z.size, spec)
 
 
 def combined_majorizer_weights(z, k0: int, spec: PenaltySpec) -> np.ndarray:

@@ -10,9 +10,9 @@ so the cost is guaranteed nonincreasing.
 The iteration exists once, in :func:`_mm`: it owns the cost history, the
 non-finite guard and the stop rule.  The objective exists once, in
 :func:`_objective`, which builds the pair of closures the loop calls:
-``sums_and_cost`` evaluates the masked window sums and the cost at an
-iterate, and ``update`` turns those same sums into majorizer weights and
-the next iterate, so each iteration computes every masked sum once.
+``norms_and_cost`` evaluates each term's smoothed window norms and the cost
+at an iterate, and ``update`` turns those same norms into majorizer weights
+and the next iterate, so each iteration computes every masked sum once.
 :func:`rtea_solve` builds it for two components, and :func:`pogs_solve`,
 the single-component denoiser (all-ones mask = plain group-sparse
 denoising), for one component without the coupling term.  Both refuse a
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .penalties import PenaltySpec
-from .regularizers import WeightArray, _as_signal, _check_mask, _penalty_from_sums, _weights
+from .regularizers import WeightArray, _as_signal, _check_mask, _norms, _penalty, _weights
 
 
 class NumericalError(RuntimeError):
@@ -137,31 +137,31 @@ class DecompositionResult:
         return float(self.cost_history[-1])
 
 
-def _observation(y) -> np.ndarray:
-    y = _as_signal(y)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation contains non-finite samples")
-    return y
+def _finite_signal(x, name: str) -> np.ndarray:
+    x = _as_signal(x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} contains non-finite samples")
+    return x
 
 
-def _mm(xs, sums_and_cost, update, max_iter: int, tol: float):
+def _mm(xs, norms_and_cost, update, max_iter: int, tol: float):
     """The one majorize-minimize loop of both solvers.
 
-    ``sums_and_cost(*xs)`` returns the masked window sums at the iterate and
-    its cost; ``update(sums, *xs)`` minimizes the majorizer built from those
-    sums and returns the next iterate.  The sums computed for one iterate's
-    cost are thus reused for its majorizer weights.  Stops when the cost
-    changes by less than ``tol`` relative to ``max(cost, 1)``, and raises
-    :class:`NumericalError` on a non-finite cost.  Returns ``(xs,
+    ``norms_and_cost(*xs)`` returns the smoothed window norms at the iterate
+    and its cost; ``update(norms, *xs)`` minimizes the majorizer built from
+    those norms and returns the next iterate.  The norms computed for one
+    iterate's cost are thus reused for its majorizer weights.  Stops when
+    the cost changes by less than ``tol`` relative to ``max(cost, 1)``, and
+    raises :class:`NumericalError` on a non-finite cost.  Returns ``(xs,
     cost_history, iterations, converged)``.
     """
-    sums, c = sums_and_cost(*xs)
+    norms, c = norms_and_cost(*xs)
     costs = [c]
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        xs = update(sums, *xs)
-        sums, c = sums_and_cost(*xs)
+        xs = update(norms, *xs)
+        norms, c = norms_and_cost(*xs)
         if not np.isfinite(c):
             raise NumericalError(f"cost became non-finite at iteration {iterations}")
         costs.append(c)
@@ -172,7 +172,7 @@ def _mm(xs, sums_and_cost, update, max_iter: int, tol: float):
 
 
 def _objective(y: np.ndarray, groups, coupling):
-    """The ``(sums_and_cost, update)`` pair of the objective
+    """The ``(norms_and_cost, update)`` pair of the objective
 
         0.5*||y - sum(xs)||^2 + lam0*P(sum(xs); k0) + sum_i lam_i*P(x_i; b_i)
 
@@ -188,29 +188,29 @@ def _objective(y: np.ndarray, groups, coupling):
         b0 = WeightArray.ones(k0)
         _check_mask(b0, n)
 
-    def sums_and_cost(*xs):
+    def norms_and_cost(*xs):
         both = xs[0] if len(xs) == 1 else xs[0] + xs[1]
-        s0 = None if coupling is None else b0._convolve(both * both)
-        sums = [b._convolve(x * x) for x, (_, b, _) in zip(xs, groups)]
+        u0 = None if coupling is None else _norms(b0, both, pen0)
+        norms = [_norms(b, x, pen) for x, (_, b, pen) in zip(xs, groups)]
         total = _half_sq_norm(y - both)
         if coupling is not None:
-            total += lam0 * _penalty_from_sums(s0, pen0)
+            total += lam0 * _penalty(u0, pen0)
         # the component terms summed apart keep the total invariant under a 1<->2 swap
         reg = 0.0
-        for s, (lam, _, pen) in zip(sums, groups):
-            reg += lam * _penalty_from_sums(s, pen)
-        return (sums, s0), total + reg
+        for u, (lam, _, pen) in zip(norms, groups):
+            reg += lam * _penalty(u, pen)
+        return (norms, u0), total + reg
 
-    def update(all_sums, *xs):
+    def update(all_norms, *xs):
         # the majorizer is separable per sample: one elementwise division per component
-        sums, s0 = all_sums
-        t = 1.0 if coupling is None else 1.0 + lam0 * _weights(b0, s0, n, pen0)
+        norms, u0 = all_norms
+        t = 1.0 if coupling is None else 1.0 + lam0 * _weights(b0, u0, n, pen0)
         kt = len(xs) * t
-        ps = [kt + lam * _weights(b, s, n, pen) for s, (lam, b, pen) in zip(sums, groups)]
+        ps = [kt + lam * _weights(b, u, n, pen) for u, (lam, b, pen) in zip(norms, groups)]
         qs = (y,) if len(xs) == 1 else (y + t * (xs[0] - xs[1]), y + t * (xs[1] - xs[0]))
         return [q / p for q, p in zip(qs, ps)]
 
-    return sums_and_cost, update
+    return norms_and_cost, update
 
 
 def _resolve_init(y, init):
@@ -218,7 +218,7 @@ def _resolve_init(y, init):
         return y.copy(), y.copy()
     if isinstance(init, str):
         raise ValueError(f"init must be None or a pair of arrays, got {init!r}")
-    x1, x2 = (_as_signal(x).copy() for x in init)
+    x1, x2 = (_finite_signal(x, "init").copy() for x in init)
     if x1.size != y.size or x2.size != y.size:
         raise ValueError("init components must match the observation length")
     return x1, x2
@@ -233,12 +233,12 @@ def rtea_solve(y, cfg: SolverConfig, init=None) -> DecompositionResult:
     iterations are done.  The cost history holds the
     objective at every iterate, the starting point included.
     """
-    y = _observation(y)
+    y = _finite_signal(y, "observation")
     groups = ((cfg.lam1, cfg.b1, cfg.pen1), (cfg.lam2, cfg.b2, cfg.pen2))
     coupling = (cfg.lam0, cfg.k0, cfg.pen0) if cfg.lam0 > 0 else None
-    sums_and_cost, update = _objective(y, groups, coupling)
+    norms_and_cost, update = _objective(y, groups, coupling)
     (x1, x2), costs, iterations, converged = _mm(
-        _resolve_init(y, init), sums_and_cost, update, cfg.max_iter, cfg.tol
+        _resolve_init(y, init), norms_and_cost, update, cfg.max_iter, cfg.tol
     )
     return DecompositionResult(
         x1=x1,
@@ -268,12 +268,12 @@ def pogs_solve(
     the denoised signal, or ``(x, cost_history, iterations, converged)``
     with ``full_output``.
     """
-    y = _observation(y)
+    y = _finite_signal(y, "observation")
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
     _check_run(max_iter, tol, (spec,), lam=lam)
-    sums_and_cost, update = _objective(y, ((lam, b, spec),), None)
-    (x,), costs, iterations, converged = _mm((y.copy(),), sums_and_cost, update, max_iter, tol)
+    norms_and_cost, update = _objective(y, ((lam, b, spec),), None)
+    (x,), costs, iterations, converged = _mm((y.copy(),), norms_and_cost, update, max_iter, tol)
     if full_output:
         return x, costs, iterations, converged
     return x

@@ -282,6 +282,13 @@ class TestExtract:
                           "--period1", 32, "--period2", 53, *flags,
                           "--out", tmp_path / "x"]) == 2
 
+    def test_lam_outside_pogs_is_usage_error(self, generated, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run(["extract", generated / "signal.csv", "--period1", 32, "--period2", 53,
+                    "--lam", 50, "--out", out]) == 2
+        assert "--lam applies to --mode pogs only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infinite_lam_is_usage_error(self, generated, tmp_path, capsys):
         assert run(["extract", generated / "signal.csv", "--mode", "pogs", "--period1", 32,
                     "--lam", "inf", "--out", tmp_path / "x"]) == 2

@@ -25,16 +25,18 @@ def spec_of(family, a=0.5, eps=1e-10):
 
 class TestSpecValidation:
     def test_negative_a_rejected(self):
-        with pytest.raises(ValueError):
-            PenaltySpec("log", a=-0.1)
+        for family in ("log", "rat", "atan"):
+            for a in (-0.1, np.inf, np.nan):
+                with pytest.raises(ValueError, match="a must be finite and >= 0"):
+                    PenaltySpec(family, a=a)
 
     def test_abs_with_positive_a_rejected(self):
         with pytest.raises(ValueError):
             PenaltySpec("abs", a=0.5)
 
     def test_nonpositive_eps_rejected(self):
-        for eps in (0.0, -1e-3):
-            with pytest.raises(ValueError):
+        for eps in (0.0, -1e-3, np.inf, np.nan):
+            with pytest.raises(ValueError, match="eps must be finite and > 0"):
                 PenaltySpec("abs", eps=eps)
 
     def test_unknown_family_rejected(self):

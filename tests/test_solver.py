@@ -110,10 +110,13 @@ class TestEvalCost:
             0.5 * np.sum((y - x1 - x2) ** 2), rel=1e-12
         )
 
-    def test_matches_term_by_term_reimplementation(self):
+    @pytest.mark.parametrize("family", ["abs", "log", "rat", "atan"])
+    def test_matches_term_by_term_reimplementation(self, family):
         rng = np.random.default_rng(2)
         y, x1, x2 = rng.normal(size=(3, 32))
-        cfg = small_config()
+        # a = 0.5 is inside small_config's convexity bound 1/(k0*lam0) = 1.25
+        a = 0.0 if family == "abs" else 0.5
+        cfg = small_config(pen0=PenaltySpec(family, a=a, eps=1e-8))
         assert mm_cost(y, x1, x2, cfg) == pytest.approx(
             cost_loops(y, x1, x2, cfg), rel=1e-12
         )
@@ -287,8 +290,11 @@ class TestSolve:
     def test_nonfinite_input_rejected(self):
         y = np.zeros(30)
         y[3] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="observation contains non-finite samples"):
             rtea_solve(y, small_config())
+        # a non-finite start is the caller's input too, not a numerical failure
+        with pytest.raises(ValueError, match="init contains non-finite samples"):
+            rtea_solve(np.zeros(30), small_config(), init=(y, np.zeros(30)))
 
     def test_unknown_init_rejected(self):
         for init in ("warm", "zeros"):
