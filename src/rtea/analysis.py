@@ -66,8 +66,10 @@ def envelope_spectrum(x, fs: float, nfft: int | None = None, smooth_hz: float = 
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need a 1-D signal with at least 2 samples")
-    if not fs > 0:
-        raise ValueError(f"sample rate must be positive, got {fs}")
+    if not 0 < fs < np.inf:
+        raise ValueError(f"sample rate fs must be a finite positive real, got {fs}")
+    if not np.isfinite(smooth_hz):
+        raise ValueError(f"smooth_hz must be finite, got {smooth_hz}")
     if nfft is None:
         nfft = x.size
     if nfft < x.size:

@@ -194,11 +194,10 @@ def cmd_extract(args) -> int:
         lam = args.lam
         if lam is None:
             lam = beta_lookup(spec1.n1, spec1.m) * _lambda_scale(sigma)
-        x, cost_hist, iterations, converged = pogs_solve(
+        result = pogs_solve(
             y, b, lam, PenaltySpec(family=args.penalty, a=0.0),
-            max_iter=args.max_iter, tol=args.tol, full_output=True,
+            max_iter=args.max_iter, tol=args.tol,
         )
-        columns = {"x1": x, "residual": y - x}
         notes = [f"lambda = {lam:.6g}"]
         manifest["config"] = {"lam": lam, "b": _mask_snapshot(b)}
     else:
@@ -224,10 +223,6 @@ def cmd_extract(args) -> int:
             )
         else:
             notes.append("convexity bound: not applicable (lam0 = 0)")
-        cost_hist, iterations, converged = (
-            result.cost_history, result.iterations, result.converged
-        )
-        columns = {"x1": result.x1, "x2": result.x2, "residual": result.residual}
         manifest["config"] = _config_snapshot(solver_cfg)
         if truth is not None:
             x1t, x2t = truth
@@ -237,18 +232,21 @@ def cmd_extract(args) -> int:
                 baseline_rmse_y_x1=rmse(y, x1t),
                 baseline_rmse_y_x2=rmse(y, x2t),
             )
+    state = "converged" if result.converged else "not converged"
     print(f"sigma_hat = {sigma:.6g}", *notes, sep="\n")
-    print(f"iterations = {iterations} ({'converged' if converged else 'not converged'})")
+    print(f"iterations = {result.iterations} ({state})")
+    if not result.converged:
+        print(f"warning: not converged within --max-iter {args.max_iter} iterations "
+              f"(--tol {args.tol})", file=sys.stderr)
 
     components_path = os.path.join(out, "components.csv")
+    columns = dict(zip(("x1", "x2"), result.xs), residual=result.residual)
     fileio.write_columns_csv(components_path, {"index": np.arange(y.size), **columns})
     cost_path = os.path.join(out, "cost.csv")
-    fileio.write_columns_csv(
-        cost_path,
-        {"iteration": np.arange(cost_hist.size), "cost": cost_hist},
-    )
+    costs = result.cost_history
+    fileio.write_columns_csv(cost_path, {"iteration": np.arange(costs.size), "cost": costs})
     manifest["metrics"].update(
-        final_cost=float(cost_hist[-1]), iterations=iterations, converged=converged
+        final_cost=result.final_cost, iterations=result.iterations, converged=result.converged
     )
     manifest["outputs"] = {"components": components_path, "cost": cost_path}
     manifest["timestamp"] = fileio.utc_timestamp()
@@ -443,6 +441,17 @@ def _fraction(text):
     return value
 
 
+def _count(text):
+    """An argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rtea",
@@ -512,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--smooth-hz", dest="smooth_hz", type=float, default=2.0)
     a.add_argument("--n-harmonics", dest="n_harmonics", type=int, default=5)
     a.add_argument("--tol-hz", dest="tol_hz", type=float, default=None)
-    a.add_argument("--max-peaks", dest="max_peaks", type=int, default=10)
+    a.add_argument("--max-peaks", dest="max_peaks", type=_count, default=10)
     a.add_argument("--out", default=DEFAULT_OUT)
     a.set_defaults(func=cmd_analyze)
 

@@ -47,16 +47,23 @@ class PeriodSpec:
         if self.period_samples is not None:
             if self.fault_freq_hz is not None:
                 raise ValueError("give either period_samples or fault_freq_hz, not both")
-            if not self.period_samples > 0:
-                raise ValueError(f"period must be positive, got {self.period_samples}")
+            given = ("period_samples",)
         else:
             if self.fault_freq_hz is None or self.sample_rate_hz is None:
                 raise ValueError(
                     "a period prior is required: either period_samples or "
                     "fault_freq_hz together with sample_rate_hz"
                 )
-            if not self.fault_freq_hz > 0 or not self.sample_rate_hz > 0:
-                raise ValueError("fault_freq_hz and sample_rate_hz must be positive")
+            given = ("fault_freq_hz", "sample_rate_hz")
+        for name in given:
+            v = getattr(self, name)
+            if not 0 < v < np.inf:
+                raise ValueError(f"{name} must be a finite positive real, got {v}")
+        if not self.period < np.inf:
+            raise ValueError(
+                f"period sample_rate_hz / fault_freq_hz = {self.sample_rate_hz} / "
+                f"{self.fault_freq_hz} overflows"
+            )
         if self.n1 < 1:
             raise ValueError(f"n1 must be >= 1, got {self.n1}")
         if self.m < 1:

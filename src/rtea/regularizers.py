@@ -84,8 +84,10 @@ def _check_mask(b, n: int) -> None:
     the ``n``-sample signal it slides over."""
     if not isinstance(b, WeightArray):
         raise TypeError(f"mask must be a WeightArray, got {type(b).__name__}")
-    if len(b) > n:
-        raise ValueError(f"mask length {len(b)} exceeds signal length {n}")
+    # the length arithmetically: len() refuses one past sys.maxsize
+    length = b.m * b.period + b.n1
+    if length > n:
+        raise ValueError(f"mask length {length} exceeds signal length {n}")
 
 
 def _as_signal(x) -> np.ndarray:

@@ -8,7 +8,7 @@ Each iteration minimizes a separable quadratic majorizer of the objective,
 so the cost is guaranteed nonincreasing.
 
 The iteration exists once, in :func:`_mm`: it owns the cost history, the
-non-finite guard and the stop rule.  The objective exists once, in
+non-finite guard and the stop rule, and builds the one result type.  The objective exists once, in
 :func:`_objective`, which builds the pair of closures the loop calls:
 ``norms_and_cost`` evaluates each term's smoothed window norms and the cost
 at an iterate, and ``update`` turns those same norms into majorizer weights
@@ -123,14 +123,23 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """Solver output: components, residual and convergence record."""
+    """A solve's components ``xs`` (one or two), residual and convergence record."""
 
-    x1: np.ndarray
-    x2: np.ndarray
+    xs: tuple[np.ndarray, ...]
     residual: np.ndarray
     cost_history: np.ndarray
     iterations: int
     converged: bool
+
+    @property
+    def x1(self) -> np.ndarray:
+        return self.xs[0]
+
+    @property
+    def x2(self) -> np.ndarray:
+        if len(self.xs) < 2:
+            raise AttributeError("a one-component result has no x2")
+        return self.xs[1]
 
     @property
     def final_cost(self) -> float:
@@ -144,16 +153,16 @@ def _finite_signal(x, name: str) -> np.ndarray:
     return x
 
 
-def _mm(xs, norms_and_cost, update, max_iter: int, tol: float):
-    """The one majorize-minimize loop of both solvers.
+def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> DecompositionResult:
+    """The one majorize-minimize loop of both solvers, from the start ``xs``.
 
     ``norms_and_cost(*xs)`` returns the smoothed window norms at the iterate
     and its cost; ``update(norms, *xs)`` minimizes the majorizer built from
     those norms and returns the next iterate.  The norms computed for one
     iterate's cost are thus reused for its majorizer weights.  Stops when
     the cost changes by less than ``tol`` relative to ``max(cost, 1)``, and
-    raises :class:`NumericalError` on a non-finite cost.  Returns ``(xs,
-    cost_history, iterations, converged)``.
+    raises :class:`NumericalError` on a non-finite cost.  The result's
+    residual is ``y`` minus the components, subtracted in order.
     """
     norms, c = norms_and_cost(*xs)
     costs = [c]
@@ -168,7 +177,8 @@ def _mm(xs, norms_and_cost, update, max_iter: int, tol: float):
         if abs(costs[-2] - c) / max(c, 1.0) < tol:
             converged = True
             break
-    return xs, np.asarray(costs), iterations, converged
+    residual = y - xs[0] if len(xs) == 1 else y - xs[0] - xs[1]
+    return DecompositionResult(tuple(xs), residual, np.asarray(costs), iterations, converged)
 
 
 def _objective(y: np.ndarray, groups, coupling):
@@ -237,17 +247,7 @@ def rtea_solve(y, cfg: SolverConfig, init=None) -> DecompositionResult:
     groups = ((cfg.lam1, cfg.b1, cfg.pen1), (cfg.lam2, cfg.b2, cfg.pen2))
     coupling = (cfg.lam0, cfg.k0, cfg.pen0) if cfg.lam0 > 0 else None
     norms_and_cost, update = _objective(y, groups, coupling)
-    (x1, x2), costs, iterations, converged = _mm(
-        _resolve_init(y, init), norms_and_cost, update, cfg.max_iter, cfg.tol
-    )
-    return DecompositionResult(
-        x1=x1,
-        x2=x2,
-        residual=y - x1 - x2,
-        cost_history=costs,
-        iterations=iterations,
-        converged=converged,
-    )
+    return _mm(y, _resolve_init(y, init), norms_and_cost, update, cfg.max_iter, cfg.tol)
 
 
 def pogs_solve(
@@ -265,15 +265,17 @@ def pogs_solve(
     one-component case of :func:`rtea_solve`'s objective, with the same
     loop, stop rule and component rule (``spec.a == 0``); with an all-ones
     mask this is the plain overlapping group-sparsity denoiser.  Returns
-    the denoised signal, or ``(x, cost_history, iterations, converged)``
-    with ``full_output``.
+    the one-component :class:`DecompositionResult`, whose ``x1`` is the
+    denoised signal.  ``full_output`` returns ``(x, cost_history,
+    iterations, converged)`` instead; it is kept only for the benchmark's
+    adapter, which unpacks that tuple.
     """
     y = _finite_signal(y, "observation")
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
     _check_run(max_iter, tol, (spec,), lam=lam)
     norms_and_cost, update = _objective(y, ((lam, b, spec),), None)
-    (x,), costs, iterations, converged = _mm((y.copy(),), norms_and_cost, update, max_iter, tol)
+    res = _mm(y, (y.copy(),), norms_and_cost, update, max_iter, tol)
     if full_output:
-        return x, costs, iterations, converged
-    return x
+        return res.x1, res.cost_history, res.iterations, res.converged
+    return res

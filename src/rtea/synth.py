@@ -40,8 +40,10 @@ class TransientTrain:
     def __post_init__(self):
         if self.transient_len < 1:
             raise ValueError(f"transient_len must be >= 1, got {self.transient_len}")
-        if not self.period_samples > 0:
-            raise ValueError(f"period must be positive, got {self.period_samples}")
+        if not 0 < self.period_samples < np.inf:
+            raise ValueError(
+                f"period_samples must be a finite positive real, got {self.period_samples}"
+            )
         if not 0.0 <= self.jitter_pct <= 5.0:
             raise ValueError(f"jitter_pct must lie in [0, 5], got {self.jitter_pct}")
         for name in ("amplitude_range", "freq_range", "phase_range", "n_sines_range"):
@@ -61,12 +63,6 @@ class GeneratedTrain:
     clean: np.ndarray
     onsets: np.ndarray
     support: np.ndarray
-
-
-def _rng_of(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _draw_transient(rng: np.random.Generator, train: TransientTrain) -> np.ndarray:
@@ -98,7 +94,7 @@ def gen_train(train: TransientTrain, n_samples: int) -> GeneratedTrain:
             f"period {t} must exceed transient_len {train.transient_len}; "
             "consecutive transients would overlap"
         )
-    rng = _rng_of(train.seed)
+    rng = np.random.default_rng(train.seed)
     clean = np.zeros(n_samples)
     occupied = np.zeros(n_samples, dtype=bool)
     onsets = []
@@ -156,6 +152,8 @@ def gen_mixture(
     Child seeds for the two trains and the noise are derived from ``seed``,
     so the whole record is reproducible from one integer.
     """
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
     root = np.random.default_rng(seed)
     s1, s2, sn = (int(v) for v in root.integers(0, 2**63 - 1, size=3))
     common = dict(
@@ -173,10 +171,8 @@ def gen_mixture(
         ),
         n_samples,
     )
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
     clean = g1.clean + g2.clean
-    noise = _rng_of(sn).normal(0.0, sigma, size=n_samples)
+    noise = np.random.default_rng(sn).normal(0.0, sigma, size=n_samples)
     y = clean + noise
     return Mixture(
         y=y,

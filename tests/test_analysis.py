@@ -89,8 +89,12 @@ class TestEnvelopeSpectrum:
             envelope_spectrum(np.zeros(100), 10.0, nfft=50)
 
     def test_bad_fs_rejected(self):
-        with pytest.raises(ValueError):
-            envelope_spectrum(np.zeros(100), 0.0)
+        for fs in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sample rate fs must be a finite positive"):
+                envelope_spectrum(np.zeros(100), fs)
+        for smooth_hz in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="smooth_hz must be finite"):
+                envelope_spectrum(np.zeros(100), 10.0, smooth_hz=smooth_hz)
 
 
 class TestScipyEquivalence:

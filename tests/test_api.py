@@ -3,6 +3,9 @@
 The benchmark (``bench/``) is a client of the package: each name it imports
 from ``rtea`` must stay public, so a trim of ``rtea.__all__`` that would
 break it fails here first, and the whole public surface is pinned by name.
+The benchmark's adapter (``bench/api.py``) is also run, briefly, on every
+workload, so a change to how the solvers are called or what they return
+fails here too.
 The package also imports without scipy, which would add over a second to
 every cold CLI run.
 """
@@ -42,6 +45,27 @@ def test_bench_imports_are_public(path):
         # a submodule (``from rtea import fileio``) is public as a module
         if importlib.util.find_spec(f"rtea.{name}") is None:
             assert name in rtea.__all__, f"{path.name} imports rtea.{name}, not in __all__"
+
+
+@pytest.fixture()
+def bench(monkeypatch):
+    """``bench/api`` and ``bench/workloads``, imported as the benchmark does."""
+    names = ("api", "objective", "workloads")
+    for name in names:
+        sys.modules.pop(name, None)
+    monkeypatch.syspath_prepend(str(BENCH))
+    yield importlib.import_module("api"), importlib.import_module("workloads")
+    for name in names:
+        sys.modules.pop(name, None)
+
+
+def test_bench_adapter_solves_every_workload(bench):
+    api, workloads = bench
+    for w in workloads.WORKLOADS.values():
+        sol = api.Problem(w, workloads.make_record(w, 0).y).solve(max_iter=2)
+        assert len(sol.xs) == len(w.periods), w.name
+        assert sol.iterations == 2 and len(sol.costs) == 3, w.name
+        assert all(x.shape == (w.n,) for x in sol.xs), w.name
 
 
 PUBLIC_NAMES = [

@@ -282,6 +282,18 @@ class TestExtract:
                           "--period1", 32, "--period2", 53, *flags,
                           "--out", tmp_path / "x"]) == 2
 
+    def test_unconverged_run_warns_on_stderr(self, generated, tmp_path, capsys):
+        assert run(["extract", generated / "signal.csv", "--period1", 32, "--period2", 53,
+                    "--max-iter", 2, "--out", tmp_path / "short"]) == 0
+        out, err = capsys.readouterr()
+        assert "iterations = 2 (not converged)\n" in out and "warning" not in out
+        assert err == "warning: not converged within --max-iter 2 iterations (--tol 1e-08)\n"
+        # a converged run leaves stderr empty
+        assert run(["extract", generated / "signal.csv", "--mode", "pogs", "--period1", 32,
+                    "--out", tmp_path / "pogs"]) == 0
+        out, err = capsys.readouterr()
+        assert "(converged)" in out and err == ""
+
     def test_lam_outside_pogs_is_usage_error(self, generated, tmp_path, capsys):
         out = tmp_path / "x"
         assert run(["extract", generated / "signal.csv", "--period1", 32, "--period2", 53,
@@ -315,6 +327,31 @@ def extract_with_config(generated, tmp_path, cfg, *flags, name="cfg"):
     cfg_path.write_text(json.dumps(cfg))
     return run(["extract", generated / "signal.csv", "--config", cfg_path, *flags,
                 "--out", tmp_path / name])
+
+
+@pytest.mark.parametrize("command, flags, cause", [
+    ("extract", ["--period1", "inf", "--period2", 53],
+     "period_samples must be a finite positive real, got inf"),
+    ("extract", ["--period1", "1e300", "--period2", 53], "exceeds signal length 1024"),
+    ("extract", ["--freq1", 43, "--freq2", 58, "--fs", "inf"],
+     "sample_rate_hz must be a finite positive real, got inf"),
+    ("analyze", ["--fs", "inf"], "sample rate fs must be a finite positive real, got inf"),
+    ("analyze", ["--fs", 12800, "--smooth-hz", "inf"], "smooth_hz must be finite, got inf"),
+    ("analyze", ["--fs", 12800, "--smooth-hz", "nan"], "smooth_hz must be finite, got nan"),
+    ("generate", ["--t1", "inf"], "period_samples must be a finite positive real, got inf"),
+    ("generate", ["--sigma", "nan"], "sigma must be >= 0 and finite, got nan"),
+    ("generate", ["--sigma", "inf"], "sigma must be >= 0 and finite, got inf"),
+], ids=["extract-inf-period", "extract-huge-period", "extract-inf-fs", "analyze-inf-fs",
+        "analyze-inf-smooth", "analyze-nan-smooth", "generate-inf-t1", "generate-nan-sigma",
+        "generate-inf-sigma"])
+def test_nonfinite_or_huge_setting_is_usage_error(generated, tmp_path, capsys,
+                                                  command, flags, cause):
+    inputs = [] if command == "generate" else [generated / "signal.csv"]
+    out = tmp_path / "x"
+    assert run([command, *inputs, *flags, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cause in err
+    assert not (out / "signal.csv").exists()
 
 
 class TestConfigFile:
@@ -460,6 +497,14 @@ class TestAnalyze:
                     "--out", tmp_path / "an"]) == 2
         assert "lies outside the spectrum range" in capsys.readouterr().err
 
+
+    def test_negative_max_peaks_fails_at_parse(self, generated, tmp_path, capsys):
+        out = tmp_path / "an"
+        assert exit_code(["analyze", generated / "signal.csv", "--fs", 12800,
+                          "--max-peaks", -1, "--out", out]) == 2
+        assert "argument --max-peaks: expected an integer >= 0, got '-1'" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_nonfinite_component_is_usage_error(self, tmp_path, capsys):
         x1 = np.array([0.1, np.nan, 0.3, -0.2])

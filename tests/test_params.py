@@ -38,6 +38,23 @@ class TestPeriodSpec:
         with pytest.raises(ValueError):
             PeriodSpec(period_samples=32, fault_freq_hz=50.0)
 
+    @pytest.mark.parametrize("prior, cause", [
+        (dict(period_samples=np.inf), "period_samples must be a finite positive real"),
+        (dict(period_samples=np.nan), "period_samples must be a finite positive real"),
+        (dict(period_samples=-32.0), "period_samples must be a finite positive real"),
+        (dict(fault_freq_hz=np.inf, sample_rate_hz=12800.0),
+         "fault_freq_hz must be a finite positive real"),
+        (dict(fault_freq_hz=43.3, sample_rate_hz=np.inf),
+         "sample_rate_hz must be a finite positive real"),
+        (dict(fault_freq_hz=43.3, sample_rate_hz=np.nan),
+         "sample_rate_hz must be a finite positive real"),
+        (dict(fault_freq_hz=1e-300, sample_rate_hz=1e300), "overflows"),
+    ], ids=["inf-period", "nan-period", "negative-period", "inf-freq", "inf-fs", "nan-fs",
+            "overflowing-period"])
+    def test_nonfinite_or_nonpositive_prior_rejected(self, prior, cause):
+        with pytest.raises(ValueError, match=cause):
+            PeriodSpec(**prior)
+
     def test_no_zero_gap_rejected(self):
         with pytest.raises(ValueError):
             PeriodSpec(period_samples=4, n1=4)

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 
+from rtea.params import (
+    PeriodSpec,
+    beta_lookup,
+    build_weight_array,
+    default_config,
+    estimate_sigma,
+)
 from rtea.penalties import PenaltySpec
 from rtea.regularizers import WeightArray
 from rtea.solver import (
@@ -179,15 +186,14 @@ class TestSolve:
         mix = gen_mixture(n_samples=128, seed=6, sigma=0.5, t1=20, t2=33)
         cfg = small_config(b1=WeightArray(2, 18, 2), b2=WeightArray(2, 31, 2))
         res = rtea_solve(mix.y, cfg)
-        assert isinstance(res, DecompositionResult)
+        assert isinstance(res, DecompositionResult) and len(res.xs) == 2
+        assert res.x1 is res.xs[0] and res.x2 is res.xs[1]
         assert res.x1.size == res.x2.size == mix.y.size
         np.testing.assert_array_equal(res.residual, mix.y - res.x1 - res.x2)
         assert len(res.cost_history) == res.iterations + 1
 
     def test_recovers_better_than_noisy_input(self):
         mix = gen_mixture(n_samples=1024, t1=32, t2=53, sigma=0.5, seed=7)
-        from rtea.params import PeriodSpec, default_config
-
         cfg = default_config(
             mix.y,
             PeriodSpec(period_samples=32),
@@ -306,6 +312,27 @@ class TestSolve:
             rtea_solve(np.zeros(20), small_config())
 
 
+class TestTimeReversal:
+    @pytest.mark.parametrize("solver", ["rtea", "pogs"])
+    def test_reversed_input_gives_reversed_components(self, solver):
+        # every mask is a palindrome, so the objective is invariant under
+        # time reversal and each MM step commutes with it
+        mix = gen_mixture(n_samples=1024, t1=32, t2=53, sigma=0.5, seed=7)
+        spec1, spec2 = PeriodSpec(period_samples=32), PeriodSpec(period_samples=53)
+
+        def solve(y):
+            if solver == "rtea":
+                return rtea_solve(y, default_config(y, spec1, spec2))
+            lam = beta_lookup(spec1.n1, spec1.m) * estimate_sigma(y)
+            return pogs_solve(y, build_weight_array(spec1), lam, PenaltySpec("atan"))
+
+        fwd, rev = solve(mix.y), solve(mix.y[::-1])
+        assert len(fwd.xs) == len(rev.xs) == (2 if solver == "rtea" else 1)
+        for x, xr in zip(fwd.xs + (fwd.residual,), rev.xs + (rev.residual,)):
+            assert np.max(np.abs(xr[::-1] - x)) <= 1e-12 * np.max(np.abs(x))
+        assert rev.iterations == fwd.iterations
+
+
 class TestModeReductions:
     def test_zero_lam0_is_two_term_objective(self):
         rng = np.random.default_rng(13)
@@ -337,28 +364,28 @@ class TestModeReductions:
         res = rtea_solve(mix.y, cfg)
         x_single = pogs_solve(
             mix.y, b1, 0.2, PenaltySpec("abs", eps=1e-8), max_iter=3000, tol=1e-13
-        )
+        ).x1
         assert np.max(np.abs(res.x2)) < 1e-8
         assert np.max(np.abs(res.x1 - x_single)) < 1e-4 * max(1.0, np.max(np.abs(x_single)))
 
 
 class TestPogs:
     def test_zero_input(self):
-        x = pogs_solve(np.zeros(30), WeightArray.ones(3), 0.5, ABS)
+        x = pogs_solve(np.zeros(30), WeightArray.ones(3), 0.5, ABS).x1
         np.testing.assert_array_equal(x, 0.0)
 
     def test_huge_lambda_shrinks_to_zero(self):
         rng = np.random.default_rng(15)
         y = rng.normal(size=400)
         sigma = 1.0
-        x = pogs_solve(y, WeightArray.ones(3), 1e3 * sigma, ABS, max_iter=300)
+        x = pogs_solve(y, WeightArray.ones(3), 1e3 * sigma, ABS, max_iter=300).x1
         assert np.max(np.abs(x)) < 1e-3 * np.max(np.abs(y))
 
     def test_support_recovery(self):
         train = gen_train(TransientTrain(period_samples=40, transient_len=6, seed=16), 400)
         rng = np.random.default_rng(17)
         y = train.clean + 0.3 * rng.normal(size=400)
-        x = pogs_solve(y, WeightArray.ones(3), 0.3 * 1.15, PenaltySpec("abs"), max_iter=300)
+        x = pogs_solve(y, WeightArray.ones(3), 0.3 * 1.15, PenaltySpec("abs"), max_iter=300).x1
         on_support = np.zeros(400, dtype=bool)
         on_support[train.support] = True
         # allow spill into the two samples flanking each transient (group width 3)
@@ -379,6 +406,24 @@ class TestPogs:
         assert len(costs) == iterations + 1
         assert np.all(np.diff(costs) <= 1e-12)
         assert converged
+
+    def test_result_contract(self):
+        # the one result type of both solvers, with one component; the
+        # legacy tuple of full_output holds the same values
+        y = np.random.default_rng(18).normal(size=100)
+        res = pogs_solve(y, WeightArray.ones(3), 0.8, ABS)
+        assert isinstance(res, DecompositionResult) and len(res.xs) == 1
+        np.testing.assert_array_equal(res.residual, y - res.x1)
+        assert len(res.cost_history) == res.iterations + 1
+        assert res.final_cost == res.cost_history[-1]
+        with pytest.raises(AttributeError, match="no x2"):
+            res.x2
+        x, costs, iterations, converged = pogs_solve(
+            y, WeightArray.ones(3), 0.8, ABS, full_output=True
+        )
+        np.testing.assert_array_equal(x, res.x1)
+        np.testing.assert_array_equal(costs, res.cost_history)
+        assert (iterations, converged) == (res.iterations, res.converged)
 
     def test_invalid_lam(self):
         with pytest.raises(ValueError):
@@ -418,6 +463,9 @@ class TestPogs:
             pogs_solve(np.zeros(10), np.ones(2), 0.5, ABS)
         with pytest.raises(ValueError, match="mask length 11 exceeds signal length 10"):
             pogs_solve(np.zeros(10), WeightArray(3, 5, 1), 0.5, ABS)
+        # a mask longer than any index: its length is compared, never len()'d
+        with pytest.raises(ValueError, match=f"mask length {2 * 2**63 + 1} exceeds"):
+            pogs_solve(np.zeros(10), WeightArray(1, 2**63 - 1, 2), 0.5, ABS)
 
 
 class TestCombinedMajorizerGap:

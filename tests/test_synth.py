@@ -46,8 +46,9 @@ class TestTransient:
             TransientTrain(period_samples=40, jitter_pct=6.0)
         with pytest.raises(ValueError):
             TransientTrain(period_samples=40, modulation_freq_hz=5.0)
-        with pytest.raises(ValueError):
-            TransientTrain(period_samples=0.0)
+        for period in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="period_samples must be a finite positive"):
+                TransientTrain(period_samples=period)
 
 
 class TestTrain:
@@ -141,5 +142,6 @@ class TestMixture:
         assert np.var(mix.noise) == pytest.approx(1.5**2, rel=0.02)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma must be >= 0, got -0.1"):
-            gen_mixture(sigma=-0.1)
+        for sigma in (-0.1, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"sigma must be >= 0 and finite, got {sigma}"):
+                gen_mixture(sigma=sigma)
