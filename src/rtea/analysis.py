@@ -35,9 +35,7 @@ class EnvelopeSpectrum:
 
 
 def _moving_average(v: np.ndarray, width: int) -> np.ndarray:
-    # Centered (zero-phase) moving average; width forced odd.
-    if width % 2 == 0:
-        width += 1
+    # Centered (zero-phase) moving average over an odd width <= v.size.
     kernel = np.full(width, 1.0 / width)
     return np.convolve(v, kernel, mode="same")
 
@@ -74,12 +72,19 @@ def envelope_spectrum(x, fs: float, nfft: int | None = None, smooth_hz: float = 
         nfft = x.size
     if nfft < x.size:
         raise ValueError(f"nfft = {nfft} is below the signal length {x.size}")
+    resolution = fs / nfft
+    # the smoothing kernel, odd so that it is centered
+    width = max(3, int(round(smooth_hz / resolution))) | 1
+    bins = nfft // 2 + 1
+    if width > bins:
+        raise ValueError(
+            f"smooth_hz = {smooth_hz} spans a {width}-bin smoothing kernel, "
+            f"wider than the {bins}-bin spectrum"
+        )
     env = np.abs(_analytic_signal(x))
     env = env - env.mean()
     magnitude = np.abs(np.fft.rfft(env, n=nfft))
     freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
-    resolution = fs / nfft
-    width = max(3, int(round(smooth_hz / resolution)))
     return EnvelopeSpectrum(
         freqs_hz=freqs,
         magnitude=magnitude,

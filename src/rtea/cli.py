@@ -177,7 +177,6 @@ def cmd_extract(args) -> int:
     specs = _periods(args)
     sigma = estimate_sigma(y)
     out = args.out
-    os.makedirs(out, exist_ok=True)
     manifest = {
         "command": "extract",
         "mode": args.mode,
@@ -239,6 +238,8 @@ def cmd_extract(args) -> int:
         print(f"warning: not converged within --max-iter {args.max_iter} iterations "
               f"(--tol {args.tol})", file=sys.stderr)
 
+    # made only now, so that a run the config or mask checks refuse leaves no directory
+    os.makedirs(out, exist_ok=True)
     components_path = os.path.join(out, "components.csv")
     columns = dict(zip(("x1", "x2"), result.xs), residual=result.residual)
     fileio.write_columns_csv(components_path, {"index": np.arange(y.size), **columns})
@@ -305,7 +306,6 @@ def cmd_analyze(args) -> int:
     for name in names:
         _require_finite(args.input, cols, name)
     out = args.out
-    os.makedirs(out, exist_ok=True)
     report = {
         "command": "analyze",
         "input": {"path": args.input, "sha256": fileio.sha256_file(args.input)},
@@ -327,6 +327,8 @@ def cmd_analyze(args) -> int:
             spec, tuple(args.band), n_harmonics=args.n_harmonics, tol_hz=args.tol_hz
         )
         fundamental, score = peaks.fundamental_hz, peaks.harmonic_score
+        # made once the settings passed, as extract does
+        os.makedirs(out, exist_ok=True)
         path = os.path.join(out, f"spectrum_{name}.csv")
         fileio.write_columns_csv(
             path,
@@ -497,8 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coupling concavity as a fraction of the convexity bound, default 0.5")
     s.add_argument("--penalty", choices=FAMILIES, default="atan",
                    help="penalty family for the coupling term, default atan")
-    s.add_argument("--max-iter", type=int, default=200)
-    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--max-iter", type=int, default=200,
+                   help="budget of map evaluations (three per accelerated cycle), default 200")
+    s.add_argument("--tol", type=float, default=1e-8,
+                   help="stop when a plain step changes the cost by less than this, relative")
     s.add_argument("--config", default=None,
                    help="JSON config file whose keys set these flags; flags given override it")
     s.add_argument("--out", default=DEFAULT_OUT)

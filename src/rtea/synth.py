@@ -54,6 +54,10 @@ class TransientTrain:
             raise ValueError("n_sines_range must start at >= 1")
         if self.modulation_freq_hz is not None and self.sample_rate_hz is None:
             raise ValueError("modulation_freq_hz requires sample_rate_hz")
+        for name in ("modulation_freq_hz", "sample_rate_hz"):
+            v = getattr(self, name)
+            if v is not None and not 0 < v < np.inf:
+                raise ValueError(f"{name} must be a finite positive real, got {v}")
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,14 @@ code paths used by the package.  The gradient and the majorizer gaps at the
 end are built from the package's public regularizer functions; they test
 identities that must hold between those functions.  The helpers in between
 (raw penalty, scalar majorizer, coupling penalty, single transient, row-wise
-CSV writer) are the small pieces of the model the tests call directly, and
-``mm_step`` takes one update of the solver's own loop.
+CSV writer) are the small pieces of the model the tests call directly;
+``mm_step`` takes one update of the solver's own loop, and
+``squarem_cycle`` rebuilds one accelerated cycle from three of them.
 """
 
 import csv
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -133,6 +135,32 @@ def mm_step(y, x1, x2, cfg):
     ``[at (x1, x2), at the next iterate]``."""
     res = rtea_solve(y, replace(cfg, max_iter=1), init=(x1, x2))
     return res.x1, res.x2, res.cost_history
+
+
+def squarem_cycle(y, x1, x2, cfg):
+    """One whole cycle of ``rtea_solve``'s loop from ``(x1, x2)``, rebuilt
+    from three ``mm_step`` calls: two plain steps ``x -> a -> b``, then one
+    step from ``x - 2*alpha*r + alpha**2 * v`` with ``r = a - x``,
+    ``v = b - a - r`` and ``alpha = min(-1, -||r|| / ||v||)`` over both
+    components, kept only if its cost is finite and at most cost(b).
+    Returns the held iterate, the three costs the loop records and whether
+    the extrapolation was kept."""
+    a1, a2, (_, ca) = mm_step(y, x1, x2, cfg)
+    b1, b2, (_, cb) = mm_step(y, a1, a2, cfg)
+    rs = (a1 - x1, a2 - x2)
+    vs = (b1 - a1 - rs[0], b2 - a2 - rs[1])
+
+    def sq(u):
+        # the loop's reduction order, so that alpha agrees to the last bit
+        return 0.5 * float(np.einsum("i,i->", u, u))
+
+    sv = sq(vs[0]) + sq(vs[1])
+    alpha = -1.0 if sv == 0.0 else min(-1.0, -math.sqrt((sq(rs[0]) + sq(rs[1])) / sv))
+    e1, e2 = (x + (-2.0 * alpha) * r + (alpha * alpha) * v for x, r, v in zip((x1, x2), rs, vs))
+    e1, e2, (_, ce) = mm_step(y, e1, e2, cfg)
+    if np.isfinite(ce) and ce <= cb:
+        return e1, e2, [ca, cb, ce], True
+    return b1, b2, [ca, cb, cb], False
 
 
 def mm_cost(y, x1, x2, cfg):

@@ -338,12 +338,20 @@ def extract_with_config(generated, tmp_path, cfg, *flags, name="cfg"):
     ("analyze", ["--fs", "inf"], "sample rate fs must be a finite positive real, got inf"),
     ("analyze", ["--fs", 12800, "--smooth-hz", "inf"], "smooth_hz must be finite, got inf"),
     ("analyze", ["--fs", 12800, "--smooth-hz", "nan"], "smooth_hz must be finite, got nan"),
+    # a 1 024-sample record at 12.8 kHz has a 513-bin spectrum of 12.5 Hz bins
+    ("analyze", ["--fs", 12800, "--smooth-hz", "1e5"],
+     "smooth_hz = 100000.0 spans a 8001-bin smoothing kernel, wider than the 513-bin spectrum"),
     ("generate", ["--t1", "inf"], "period_samples must be a finite positive real, got inf"),
     ("generate", ["--sigma", "nan"], "sigma must be >= 0 and finite, got nan"),
     ("generate", ["--sigma", "inf"], "sigma must be >= 0 and finite, got inf"),
+    ("generate", ["--modulation-freq", "inf", "--fs", 100],
+     "modulation_freq_hz must be a finite positive real, got inf"),
+    ("generate", ["--modulation-freq", 6, "--fs", "nan"],
+     "sample_rate_hz must be a finite positive real, got nan"),
 ], ids=["extract-inf-period", "extract-huge-period", "extract-inf-fs", "analyze-inf-fs",
-        "analyze-inf-smooth", "analyze-nan-smooth", "generate-inf-t1", "generate-nan-sigma",
-        "generate-inf-sigma"])
+        "analyze-inf-smooth", "analyze-nan-smooth", "analyze-wide-smooth", "generate-inf-t1",
+        "generate-nan-sigma", "generate-inf-sigma", "generate-inf-modulation",
+        "generate-nan-fs"])
 def test_nonfinite_or_huge_setting_is_usage_error(generated, tmp_path, capsys,
                                                   command, flags, cause):
     inputs = [] if command == "generate" else [generated / "signal.csv"]
@@ -351,7 +359,8 @@ def test_nonfinite_or_huge_setting_is_usage_error(generated, tmp_path, capsys,
     assert run([command, *inputs, *flags, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and cause in err
-    assert not (out / "signal.csv").exists()
+    # a refused run leaves no output directory behind
+    assert not out.exists()
 
 
 class TestConfigFile:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from oracles import (
     group_penalty_loops,
     mm_cost,
     mm_step,
+    squarem_cycle,
 )
 
 ABS = PenaltySpec("abs")
@@ -225,21 +228,33 @@ class TestSolve:
         assert np.max(np.abs(res_a.x1 - res_b.x1)) < 1e-4
 
     def test_solve_matches_manual_stepping_bitwise(self):
+        # max_iter = k is k map evaluations: whole SQUAREM cycles of three,
+        # then the plain steps of a cycle the budget cuts short.  The start
+        # is four cycles in, where one cycle keeps its extrapolation and the
+        # next rejects it and holds its second plain step
         mix = gen_mixture(n_samples=200, seed=22, sigma=0.5, t1=20, t2=33)
-        cfg = small_config(
-            b1=WeightArray(2, 18, 2), b2=WeightArray(2, 31, 2), max_iter=25, tol=1e-15
-        )
-        res = rtea_solve(mix.y, cfg)
-        # max_iter = k equals k chained one-iteration solves, costs included
-        x1, x2 = mix.y, mix.y
-        costs = []
-        for _ in range(res.iterations):
-            x1, x2, step_costs = mm_step(mix.y, x1, x2, cfg)
-            costs.append(step_costs[0])
-        costs.append(step_costs[1])
-        np.testing.assert_array_equal(res.x1, x1)
-        np.testing.assert_array_equal(res.x2, x2)
-        np.testing.assert_array_equal(res.cost_history, np.asarray(costs))
+        cfg = small_config(b1=WeightArray(2, 18, 2), b2=WeightArray(2, 31, 2), tol=1e-15)
+        start = (mix.y, mix.y)
+        for _ in range(4):
+            start = squarem_cycle(mix.y, *start, cfg)[:2]
+        kept = []
+        for k in range(1, 8):
+            res = rtea_solve(mix.y, replace(cfg, max_iter=k), init=start)
+            x1, x2 = start
+            costs = [mm_cost(mix.y, x1, x2, cfg)]
+            for _ in range(k // 3):
+                x1, x2, cycle_costs, keep = squarem_cycle(mix.y, x1, x2, cfg)
+                costs += cycle_costs
+                kept.append(keep)
+            for _ in range(k % 3):
+                x1, x2, (_, c) = mm_step(mix.y, x1, x2, cfg)
+                costs.append(c)
+            assert res.iterations == k and not res.converged
+            np.testing.assert_array_equal(res.x1, x1)
+            np.testing.assert_array_equal(res.x2, x2)
+            np.testing.assert_array_equal(res.cost_history, np.asarray(costs))
+        # the runs of 6 and 7 evaluations each hold one kept and one rejected cycle
+        assert kept[-4:] == [True, False, True, False]
 
     def test_swap_symmetry_bitwise(self):
         mix = gen_mixture(n_samples=200, seed=10, sigma=0.5, t1=20, t2=33)
@@ -316,13 +331,17 @@ class TestTimeReversal:
     @pytest.mark.parametrize("solver", ["rtea", "pogs"])
     def test_reversed_input_gives_reversed_components(self, solver):
         # every mask is a palindrome, so the objective is invariant under
-        # time reversal and each MM step commutes with it
+        # time reversal and each map evaluation commutes with it.  A pogs
+        # solve keeps that to roundoff; an rtea solve's extrapolations
+        # amplify the reversal roundoff (1e-8 relative on this record, at
+        # equal iteration counts), so rtea is held to one map evaluation,
+        # the step oracles.mm_step takes
         mix = gen_mixture(n_samples=1024, t1=32, t2=53, sigma=0.5, seed=7)
         spec1, spec2 = PeriodSpec(period_samples=32), PeriodSpec(period_samples=53)
 
         def solve(y):
             if solver == "rtea":
-                return rtea_solve(y, default_config(y, spec1, spec2))
+                return rtea_solve(y, default_config(y, spec1, spec2, max_iter=1))
             lam = beta_lookup(spec1.n1, spec1.m) * estimate_sigma(y)
             return pogs_solve(y, build_weight_array(spec1), lam, PenaltySpec("atan"))
 

@@ -49,6 +49,11 @@ class TestTransient:
         for period in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="period_samples must be a finite positive"):
                 TransientTrain(period_samples=period)
+        for bad in (0.0, -6.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="modulation_freq_hz must be a finite positive"):
+                TransientTrain(period_samples=40, modulation_freq_hz=bad, sample_rate_hz=100.0)
+            with pytest.raises(ValueError, match="sample_rate_hz must be a finite positive"):
+                TransientTrain(period_samples=40, modulation_freq_hz=6.0, sample_rate_hz=bad)
 
 
 class TestTrain:
