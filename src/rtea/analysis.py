@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .regularizers import _as_signal
+
 
 def rmse(a, b) -> float:
     """Root-mean-square error between two equal-length signals."""
@@ -61,9 +63,7 @@ def envelope_spectrum(x, fs: float, nfft: int | None = None, smooth_hz: float = 
     does not mask low-frequency repetition rates.  ``nfft`` may exceed the
     signal length to interpolate the spectrum (default: signal length).
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("need a 1-D signal with at least 2 samples")
+    x = _as_signal(x, "x", min_size=2)
     if not 0 < fs < np.inf:
         raise ValueError(f"sample rate fs must be a finite positive real, got {fs}")
     if not np.isfinite(smooth_hz):
@@ -129,8 +129,12 @@ def find_peaks(
     tol_hz: float | None = None,
 ) -> PeakReport:
     """Locate local maxima of the smoothed profile inside ``band_hz`` and
-    score how consistently multiples of the strongest one reappear."""
+    score how consistently multiples of the strongest one reappear within
+    ``tol_hz`` (default: the larger of 1 Hz and two bins).  An infinite band
+    edge leaves that side open."""
     lo, hi = band_hz
+    if np.isnan(lo) or np.isnan(hi):
+        raise ValueError(f"band_hz must not have a NaN edge, got {band_hz}")
     if not lo < hi:
         raise ValueError(f"empty band: {band_hz}")
     if hi <= float(spec.freqs_hz[0]) or lo >= float(spec.freqs_hz[-1]):
@@ -139,6 +143,8 @@ def find_peaks(
         raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
     if tol_hz is None:
         tol_hz = max(1.0, 2.0 * spec.resolution_hz)
+    elif not 0 < tol_hz < np.inf:
+        raise ValueError(f"tol_hz must be a finite positive real, got {tol_hz}")
     maxima = _local_maxima(spec.smoothed)
     freqs = spec.freqs_hz[maxima]
     mags = spec.smoothed[maxima]

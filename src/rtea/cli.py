@@ -25,6 +25,7 @@ from .params import (
     default_config,
     estimate_sigma,
 )
+from .regularizers import _as_signal
 from .solver import NumericalError, check_convexity, pogs_solve, rtea_solve
 from .synth import gen_mixture
 
@@ -48,9 +49,13 @@ SETTINGS = ("a0_fraction", "penalty", "max_iter", "tol")
 
 
 def _env_seed(value):
+    """``--seed`` if given, else ``$RTEA_SEED`` parsed as ``--seed`` is."""
     if value is not None:
-        return int(value)
-    return int(os.environ.get("RTEA_SEED", "0"))
+        return value
+    try:
+        return _count(os.environ.get("RTEA_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"RTEA_SEED: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +147,13 @@ def _solver_config(y, args, specs, eta):
     )
 
 
-def _require_finite(path, cols, name):
-    """The finite-sample check of every CSV column the CLI computes on."""
-    x = cols[name]
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"{path}: non-finite input: {bad.size} of {x.size} samples "
-            f"of {name}, the first {name}[{i}] = {x[i]}"
-        )
+def _column(path, cols, name):
+    """Column ``name`` of the CSV at ``path``, through the package's signal
+    check, which every column the CLI computes on passes."""
+    try:
+        return _as_signal(cols[name], name)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_observation(path):
@@ -160,11 +162,18 @@ def _read_observation(path):
         raise ValueError(
             f"{path}: expected a 'y' column (or a single-column CSV)"
         )
-    _require_finite(path, cols, "y")
+    y = _column(path, cols, "y")
     truth = None
     if "x1_true" in cols and "x2_true" in cols:
-        truth = (cols["x1_true"], cols["x2_true"])
-    return cols["y"], truth
+        truth = (_column(path, cols, "x1_true"), _column(path, cols, "x2_true"))
+    return y, truth
+
+
+def _warn_unconverged(result, args, label=""):
+    """The one warning of a solve that ends at --max-iter before --tol holds."""
+    if not result.converged:
+        print(f"warning: {label}not converged within --max-iter {args.max_iter} "
+              f"iterations (--tol {args.tol})", file=sys.stderr)
 
 
 def cmd_extract(args) -> int:
@@ -223,20 +232,15 @@ def cmd_extract(args) -> int:
         else:
             notes.append("convexity bound: not applicable (lam0 = 0)")
         manifest["config"] = _config_snapshot(solver_cfg)
-        if truth is not None:
-            x1t, x2t = truth
-            manifest["metrics"].update(
-                rmse_x1=rmse(result.x1, x1t),
-                rmse_x2=rmse(result.x2, x2t),
-                baseline_rmse_y_x1=rmse(y, x1t),
-                baseline_rmse_y_x2=rmse(y, x2t),
-            )
+    if truth is not None:
+        # pogs has one component, so it reports against x1_true only
+        for i, (x, xt) in enumerate(zip(result.xs, truth), 1):
+            manifest["metrics"][f"rmse_x{i}"] = rmse(x, xt)
+            manifest["metrics"][f"baseline_rmse_y_x{i}"] = rmse(y, xt)
     state = "converged" if result.converged else "not converged"
     print(f"sigma_hat = {sigma:.6g}", *notes, sep="\n")
     print(f"iterations = {result.iterations} ({state})")
-    if not result.converged:
-        print(f"warning: not converged within --max-iter {args.max_iter} iterations "
-              f"(--tol {args.tol})", file=sys.stderr)
+    _warn_unconverged(result, args)
 
     # made only now, so that a run the config or mask checks refuse leaves no directory
     os.makedirs(out, exist_ok=True)
@@ -303,8 +307,7 @@ def cmd_analyze(args) -> int:
             names = ["y"]
         else:
             raise ValueError(f"{args.input}: no x1/x2/y columns to analyze")
-    for name in names:
-        _require_finite(args.input, cols, name)
+    xs = {name: _column(args.input, cols, name) for name in names}
     out = args.out
     report = {
         "command": "analyze",
@@ -320,8 +323,7 @@ def cmd_analyze(args) -> int:
         "components": {},
         "outputs": {},
     }
-    for name in names:
-        x = cols[name]
+    for name, x in xs.items():
         spec = envelope_spectrum(x, args.fs, nfft=args.nfft, smooth_hz=args.smooth_hz)
         peaks = find_peaks(
             spec, tuple(args.band), n_harmonics=args.n_harmonics, tol_hz=args.tol_hz
@@ -377,6 +379,7 @@ def cmd_bench_eta(args) -> int:
     rows = {"eta": [], "rmse_x1": [], "rmse_x2": [], "rmse_sum": []}
     for eta in args.etas:
         res = rtea_solve(y, _solver_config(y, args, specs, eta))
+        _warn_unconverged(res, args, f"eta = {eta}: ")
         rows["eta"].append(eta)
         rows["rmse_x1"].append(rmse(res.x1, x1t))
         rows["rmse_x2"].append(rmse(res.x2, x2t))
@@ -470,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--t2", type=float, default=53.0, help="period of train 2 in samples")
     g.add_argument("--n", type=int, default=1024, help="number of samples")
     g.add_argument("--sigma", type=float, default=0.5, help="noise standard deviation")
-    g.add_argument("--seed", type=int, default=None, help="seed (default: $RTEA_SEED or 0)")
+    g.add_argument("--seed", type=_count, default=None, help="seed (default: $RTEA_SEED or 0)")
     g.add_argument("--transient-len", type=int, default=10)
     g.add_argument("--jitter", type=float, default=0.0, help="onset jitter in %% of period")
     g.add_argument("--modulation-freq", type=float, default=None,

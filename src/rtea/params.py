@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .penalties import PenaltySpec
-from .regularizers import WeightArray
+from .regularizers import WeightArray, _as_signal
 from .solver import SolverConfig, check_convexity
 
 # Regularization multiplier beta, indexed by [m - 1][n1 - 1].  The m = 1 row
@@ -118,9 +118,7 @@ def _choose_lambdas(
 
 def estimate_sigma(y) -> float:
     """Robust noise level: median absolute deviation scaled for Gaussians."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("need a 1-D signal with at least 2 samples")
+    y = _as_signal(y, "observation", min_size=2)
     mad = float(np.median(np.abs(y - np.median(y))))
     return mad * MAD_TO_SIGMA
 

@@ -90,10 +90,23 @@ def _check_mask(b, n: int) -> None:
         raise ValueError(f"mask length {length} exceeds signal length {n}")
 
 
-def _as_signal(x) -> np.ndarray:
+def _as_signal(x, name: str = "signal", min_size: int = 1) -> np.ndarray:
+    """The one check of every signal that enters the package: ``x`` as a 1-D
+    float array of at least ``min_size`` samples, all finite.  Its errors
+    call the argument ``name``."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
-        raise ValueError(f"expected a 1-D signal, got shape {x.shape}")
+        raise ValueError(f"{name} must be a 1-D signal, got shape {x.shape}")
+    if x.size < min_size:
+        raise ValueError(f"{name} needs at least {min_size} samples, got {x.size}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        i = int(bad[0])
+        raise ValueError(
+            f"non-finite input: {name} contains non-finite samples ({bad.size} of "
+            f"{x.size}), the first {name}[{i}] = {x[i]}"
+        )
     return x
 
 
@@ -117,7 +130,7 @@ def group_penalty(x, b, spec: PenaltySpec) -> float:
     Sums the smoothed penalty of the masked window root-sum-squares over
     every window position overlapping the (zero-padded) signal.
     """
-    x = _as_signal(x)
+    x = _as_signal(x, "x")
     _check_mask(b, x.size)
     return _penalty(_norms(b, x, spec), spec)
 
@@ -128,7 +141,7 @@ def majorizer_weights(z, b, spec: PenaltySpec) -> np.ndarray:
     At anchor ``z`` the majorizer is ``0.5 * sum_n w[n] * x[n]^2 + const(z)``
     where ``w = majorizer_weights(z, b, spec)``.  Strictly positive.
     """
-    z = _as_signal(z)
+    z = _as_signal(z, "z")
     _check_mask(b, z.size)
     return _weights(b, _norms(b, z, spec), z.size, spec)
 

@@ -63,7 +63,7 @@ def check_convexity(k0: int, lam0: float, a0: float) -> tuple[bool, float]:
 def _check_run(max_iter: int, tol: float, pens, **lams: float) -> None:
     """The checks every solver makes of its settings: each component penalty
     in ``pens`` convex (``a == 0``), each weight finite and nonnegative, at
-    least one iteration and a positive stop tolerance."""
+    least one iteration and a finite positive stop tolerance."""
     for pen in pens:
         if pen.a != 0:
             raise ValueError(
@@ -75,8 +75,8 @@ def _check_run(max_iter: int, tol: float, pens, **lams: float) -> None:
             raise ValueError(f"{name} must be a finite nonnegative real, got {v}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -150,13 +150,6 @@ class DecompositionResult:
     @property
     def final_cost(self) -> float:
         return float(self.cost_history[-1])
-
-
-def _finite_signal(x, name: str) -> np.ndarray:
-    x = _as_signal(x)
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite samples")
-    return x
 
 
 def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> DecompositionResult:
@@ -277,7 +270,7 @@ def _resolve_init(y, init):
         return y.copy(), y.copy()
     if isinstance(init, str):
         raise ValueError(f"init must be None or a pair of arrays, got {init!r}")
-    x1, x2 = (_finite_signal(x, "init").copy() for x in init)
+    x1, x2 = (_as_signal(x, "init").copy() for x in init)
     if x1.size != y.size or x2.size != y.size:
         raise ValueError("init components must match the observation length")
     return x1, x2
@@ -293,7 +286,7 @@ def rtea_solve(y, cfg: SolverConfig, init=None) -> DecompositionResult:
     result's ``iterations`` counts map evaluations, and its cost history
     holds the cost of the iterate held after each, the start included.
     """
-    y = _finite_signal(y, "observation")
+    y = _as_signal(y, "observation")
     groups = ((cfg.lam1, cfg.b1, cfg.pen1), (cfg.lam2, cfg.b2, cfg.pen2))
     coupling = (cfg.lam0, cfg.k0, cfg.pen0) if cfg.lam0 > 0 else None
     norms_and_cost, update = _objective(y, groups, coupling)
@@ -321,7 +314,7 @@ def pogs_solve(
     ``(x, cost_history, iterations, converged)`` instead; it is kept only
     for the benchmark's adapter, which unpacks that tuple.
     """
-    y = _finite_signal(y, "observation")
+    y = _as_signal(y, "observation")
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
     _check_run(max_iter, tol, (spec,), lam=lam)

@@ -71,6 +71,21 @@ class TestGenerate:
         assert run(["generate", "--seed", 11, "--out", out_flag]) == 0
         assert read_bytes(out_env / "signal.csv") == read_bytes(out_flag / "signal.csv")
 
+    @pytest.mark.parametrize("seed, env, cause", [
+        (-1, None, "argument --seed: expected an integer >= 0, got '-1'"),
+        (None, "abc", "error: RTEA_SEED: expected an integer >= 0, got 'abc'"),
+        (None, "-1", "error: RTEA_SEED: expected an integer >= 0, got '-1'"),
+    ], ids=["negative-flag", "text-env", "negative-env"])
+    def test_bad_seed_is_usage_error_naming_its_source(self, tmp_path, monkeypatch, capsys,
+                                                       seed, env, cause):
+        if env is not None:
+            monkeypatch.setenv("RTEA_SEED", env)
+        flags = [] if seed is None else ["--seed", seed]
+        out = tmp_path / "g"
+        assert exit_code(["generate", *flags, "--out", out]) == 2
+        assert cause in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run(["generate", "--n", 128, "--t2", 40]) == 0
@@ -118,6 +133,10 @@ class TestExtract:
                     "--period1", 32, "--out", out]) == 0
         cols = read_columns_csv(str(out / "components.csv"))
         assert set(cols) == {"index", "x1", "residual"}
+        # the truth metrics of the one component, from the tail both modes share
+        metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+        assert metrics["rmse_x1"] < metrics["baseline_rmse_y_x1"]
+        assert "rmse_x2" not in metrics and "baseline_rmse_y_x2" not in metrics
 
     def test_mca_mode(self, generated, tmp_path):
         out = tmp_path / "mca"
@@ -248,6 +267,16 @@ class TestExtract:
         assert "non-finite input" in err and "y[5] = nan" in err
         assert "sigma" not in err
 
+    def test_nonfinite_truth_column_is_usage_error(self, generated, tmp_path, capsys):
+        cols = read_columns_csv(str(generated / "signal.csv"))
+        cols["x2_true"][7] = -np.inf
+        write_columns_csv(str(tmp_path / "bad_truth.csv"), cols)
+        out = tmp_path / "x"
+        assert run(["extract", tmp_path / "bad_truth.csv", "--period1", 32,
+                    "--period2", 53, "--out", out]) == 2
+        assert "x2_true[7] = -inf" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["rtea", "pogs"])
     def test_mask_longer_than_signal_is_usage_error(self, tmp_path, capsys, mode):
         write_columns_csv(str(tmp_path / "short.csv"), {"y": np.array([0.1, -0.4, 0.3])})
@@ -272,6 +301,7 @@ class TestExtract:
             ("max-iter-0", ["--max-iter", 0], ("rtea", "mca", "pogs")),
             ("negative-tol", ["--tol", -1], ("rtea", "mca", "pogs")),
             ("nan-tol", ["--tol", "nan"], ("rtea", "mca", "pogs")),
+            ("inf-tol", ["--tol", "inf"], ("rtea", "mca", "pogs")),
             ("a0-fraction-1.5", ["--a0-fraction", 1.5], ("rtea", "mca", "pogs")),
         )
         for mode in modes
@@ -341,6 +371,10 @@ def extract_with_config(generated, tmp_path, cfg, *flags, name="cfg"):
     # a 1 024-sample record at 12.8 kHz has a 513-bin spectrum of 12.5 Hz bins
     ("analyze", ["--fs", 12800, "--smooth-hz", "1e5"],
      "smooth_hz = 100000.0 spans a 8001-bin smoothing kernel, wider than the 513-bin spectrum"),
+    ("analyze", ["--fs", 12800, "--tol-hz", -1], "tol_hz must be a finite positive real, got -1.0"),
+    ("analyze", ["--fs", 12800, "--tol-hz", "nan"], "tol_hz must be a finite positive real, got nan"),
+    ("analyze", ["--fs", 12800, "--band", "nan", 100],
+     "band_hz must not have a NaN edge, got (nan, 100.0)"),
     ("generate", ["--t1", "inf"], "period_samples must be a finite positive real, got inf"),
     ("generate", ["--sigma", "nan"], "sigma must be >= 0 and finite, got nan"),
     ("generate", ["--sigma", "inf"], "sigma must be >= 0 and finite, got inf"),
@@ -349,7 +383,8 @@ def extract_with_config(generated, tmp_path, cfg, *flags, name="cfg"):
     ("generate", ["--modulation-freq", 6, "--fs", "nan"],
      "sample_rate_hz must be a finite positive real, got nan"),
 ], ids=["extract-inf-period", "extract-huge-period", "extract-inf-fs", "analyze-inf-fs",
-        "analyze-inf-smooth", "analyze-nan-smooth", "analyze-wide-smooth", "generate-inf-t1",
+        "analyze-inf-smooth", "analyze-nan-smooth", "analyze-wide-smooth",
+        "analyze-negative-tol-hz", "analyze-nan-tol-hz", "analyze-nan-band", "generate-inf-t1",
         "generate-nan-sigma", "generate-inf-sigma", "generate-inf-modulation",
         "generate-nan-fs"])
 def test_nonfinite_or_huge_setting_is_usage_error(generated, tmp_path, capsys,
@@ -540,6 +575,16 @@ class TestBenchEta:
         cols = read_columns_csv(str(out / "eta_sweep.csv"))
         assert list(cols) == ["eta", "rmse_x1", "rmse_x2", "rmse_sum"]
         assert len(cols["eta"]) == 3
+
+    def test_unconverged_etas_warn_naming_the_eta(self, tmp_path, capsys):
+        out_gen = tmp_path / "gen"
+        assert run(["generate", "--n", 512, "--seed", 4, "--out", out_gen]) == 0
+        capsys.readouterr()
+        assert run(["bench-eta", out_gen / "signal.csv", "--period1", 32, "--period2", 53,
+                    "--etas", "0.2,0.5", "--max-iter", 2, "--out", tmp_path / "s"]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: eta = {eta}: not converged within --max-iter 2 iterations "
+            "(--tol 1e-08)\n" for eta in (0.2, 0.5))
 
     def test_config_file_settings(self, tmp_path):
         out_gen = tmp_path / "gen"

@@ -450,10 +450,11 @@ class TestPogs:
 
     @pytest.mark.parametrize("lam, settings, cause", [
         (0.5, {"max_iter": 0}, "max_iter must be >= 1, got 0"),
-        (0.5, {"tol": -1.0}, "tol must be > 0, got -1.0"),
-        (0.5, {"tol": np.nan}, "tol must be > 0, got nan"),
+        (0.5, {"tol": -1.0}, "tol must be finite and > 0, got -1.0"),
+        (0.5, {"tol": np.nan}, "tol must be finite and > 0, got nan"),
+        (0.5, {"tol": np.inf}, "tol must be finite and > 0, got inf"),
         (np.inf, {}, "lam must be a finite nonnegative real, got inf"),
-    ], ids=["max-iter-0", "negative-tol", "nan-tol", "infinite-lam"])
+    ], ids=["max-iter-0", "negative-tol", "nan-tol", "inf-tol", "infinite-lam"])
     def test_checks_settings_as_solver_config_does(self, lam, settings, cause):
         with pytest.raises(ValueError, match=cause):
             pogs_solve(np.zeros(10), WeightArray.ones(2), lam, ABS, **settings)
