@@ -68,6 +68,8 @@ def envelope_spectrum(x, fs: float, nfft: int | None = None, smooth_hz: float = 
         raise ValueError(f"sample rate fs must be a finite positive real, got {fs}")
     if not np.isfinite(smooth_hz):
         raise ValueError(f"smooth_hz must be finite, got {smooth_hz}")
+    if smooth_hz <= 0:
+        raise ValueError(f"smooth_hz must be > 0, got {smooth_hz}")
     if nfft is None:
         nfft = x.size
     if nfft < x.size:

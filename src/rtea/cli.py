@@ -1,8 +1,8 @@
 """Command-line front end: synthesize signals, run extraction, analyze
 components and sweep the sparsity-balance parameter.
 
-Exit codes: 0 success, 2 invalid arguments, 3 numerical failure,
-4 I/O error.
+Exit codes: 0 success, 2 invalid arguments (out of memory included),
+3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -59,6 +59,32 @@ def _env_seed(value):
 
 
 # ---------------------------------------------------------------------------
+# output: every command ends here, after all of its checks, so a refused
+# run leaves no --out directory (the atomic writer makes it)
+
+
+def _write_tables(out, tables) -> dict:
+    """Write ``{key: (file name, columns)}`` as CSV files in ``out``;
+    return ``{key: path}``."""
+    paths = {}
+    for key, (name, columns) in tables.items():
+        paths[key] = os.path.join(out, name)
+        fileio.write_columns_csv(paths[key], columns)
+    return paths
+
+
+def _write_record(out, name, command, input_path=None, **fields) -> str:
+    """Write ``fields`` as the run record ``out/name``, adding the command,
+    the time and, for a command that reads a file, its path and digest."""
+    record = {**fields, "command": command, "timestamp": fileio.utc_timestamp()}
+    if input_path is not None:
+        record["input"] = {"path": input_path, "sha256": fileio.sha256_file(input_path)}
+    path = os.path.join(out, name)
+    fileio.write_json(path, record)
+    return path
+
+
+# ---------------------------------------------------------------------------
 # generate
 
 
@@ -75,41 +101,21 @@ def cmd_generate(args) -> int:
         modulation_freq_hz=args.modulation_freq,
         sample_rate_hz=args.fs,
     )
-    out = args.out
-    signal_path = os.path.join(out, "signal.csv")
-    fileio.write_columns_csv(
-        signal_path,
-        {
-            "index": np.arange(args.n),
-            "y": mix.y,
-            "x1_true": mix.x1,
-            "x2_true": mix.x2,
-            "w": mix.noise,
-        },
-    )
-    manifest_path = os.path.join(out, "truth.json")
-    fileio.write_json(
-        manifest_path,
-        {
-            "command": "generate",
-            "params": {
-                "n": args.n,
-                "t1": args.t1,
-                "t2": args.t2,
-                "sigma": args.sigma,
-                "transient_len": args.transient_len,
-                "jitter_pct": args.jitter,
-                "modulation_freq_hz": args.modulation_freq,
-                "sample_rate_hz": args.fs,
-            },
-            "seed": seed,
-            "child_seeds": list(mix.seeds),
-            "onsets1": mix.train1.onsets.tolist(),
-            "onsets2": mix.train2.onsets.tolist(),
-            "files": {"signal": signal_path},
-            "sha256": {"signal": fileio.sha256_file(signal_path)},
-            "timestamp": fileio.utc_timestamp(),
-        },
+    columns = {"index": np.arange(args.n), "y": mix.y, "x1_true": mix.x1,
+               "x2_true": mix.x2, "w": mix.noise}
+    files = _write_tables(args.out, {"signal": ("signal.csv", columns)})
+    signal_path = files["signal"]
+    manifest_path = _write_record(
+        args.out, "truth.json", "generate",
+        params={"n": args.n, "t1": args.t1, "t2": args.t2, "sigma": args.sigma,
+                "transient_len": args.transient_len, "jitter_pct": args.jitter,
+                "modulation_freq_hz": args.modulation_freq, "sample_rate_hz": args.fs},
+        seed=seed,
+        child_seeds=list(mix.seeds),
+        onsets1=mix.train1.onsets.tolist(),
+        onsets2=mix.train2.onsets.tolist(),
+        files=files,
+        sha256={"signal": fileio.sha256_file(signal_path)},
     )
     print(f"wrote {signal_path} ({args.n} samples) and {manifest_path}")
     return 0
@@ -160,7 +166,7 @@ def _read_observation(path):
     cols = fileio.read_columns_csv(path)
     if "y" not in cols:
         raise ValueError(
-            f"{path}: expected a 'y' column (or a single-column CSV)"
+            f"{path}: expected a 'y' column (or a single-column CSV), got columns {list(cols)!r}"
         )
     y = _column(path, cols, "y")
     truth = None
@@ -185,11 +191,8 @@ def cmd_extract(args) -> int:
     y, truth = _read_observation(args.input)
     specs = _periods(args)
     sigma = estimate_sigma(y)
-    out = args.out
     manifest = {
-        "command": "extract",
         "mode": args.mode,
-        "input": {"path": args.input, "sha256": fileio.sha256_file(args.input)},
         "sigma_hat": sigma,
         "settings": {name: getattr(args, name) for name in ("eta", *SETTINGS)},
         "periods": [_period_snapshot(spec) for spec in specs],
@@ -242,21 +245,18 @@ def cmd_extract(args) -> int:
     print(f"iterations = {result.iterations} ({state})")
     _warn_unconverged(result, args)
 
-    # made only now, so that a run the config or mask checks refuse leaves no directory
-    os.makedirs(out, exist_ok=True)
-    components_path = os.path.join(out, "components.csv")
     columns = dict(zip(("x1", "x2"), result.xs), residual=result.residual)
-    fileio.write_columns_csv(components_path, {"index": np.arange(y.size), **columns})
-    cost_path = os.path.join(out, "cost.csv")
     costs = result.cost_history
-    fileio.write_columns_csv(cost_path, {"iteration": np.arange(costs.size), "cost": costs})
+    outputs = _write_tables(args.out, {
+        "components": ("components.csv", {"index": np.arange(y.size), **columns}),
+        "cost": ("cost.csv", {"iteration": np.arange(costs.size), "cost": costs}),
+    })
     manifest["metrics"].update(
         final_cost=result.final_cost, iterations=result.iterations, converged=result.converged
     )
-    manifest["outputs"] = {"components": components_path, "cost": cost_path}
-    manifest["timestamp"] = fileio.utc_timestamp()
-    fileio.write_json(os.path.join(out, "manifest.json"), manifest)
-    print(f"wrote {components_path}")
+    _write_record(args.out, "manifest.json", "extract", args.input,
+                  outputs=outputs, **manifest)
+    print(f"wrote {outputs['components']}")
     return 0
 
 
@@ -306,49 +306,28 @@ def cmd_analyze(args) -> int:
         if "y" in cols:
             names = ["y"]
         else:
-            raise ValueError(f"{args.input}: no x1/x2/y columns to analyze")
+            raise ValueError(
+                f"{args.input}: no x1/x2/y columns to analyze, got columns {list(cols)!r}"
+            )
     xs = {name: _column(args.input, cols, name) for name in names}
-    out = args.out
-    report = {
-        "command": "analyze",
-        "input": {"path": args.input, "sha256": fileio.sha256_file(args.input)},
-        "params": {
-            "fs": args.fs,
-            "band_hz": list(args.band),
-            "nfft": args.nfft,
-            "smooth_hz": args.smooth_hz,
-            "n_harmonics": args.n_harmonics,
-            "tol_hz": args.tol_hz,
-        },
-        "components": {},
-        "outputs": {},
-    }
+    tables, components = {}, {}
     for name, x in xs.items():
         spec = envelope_spectrum(x, args.fs, nfft=args.nfft, smooth_hz=args.smooth_hz)
+        tables[name] = (f"spectrum_{name}.csv", {"freq_hz": spec.freqs_hz,
+                                                 "magnitude": spec.magnitude,
+                                                 "smoothed": spec.smoothed})
         peaks = find_peaks(
             spec, tuple(args.band), n_harmonics=args.n_harmonics, tol_hz=args.tol_hz
         )
         fundamental, score = peaks.fundamental_hz, peaks.harmonic_score
-        # made once the settings passed, as extract does
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, f"spectrum_{name}.csv")
-        fileio.write_columns_csv(
-            path,
-            {
-                "freq_hz": spec.freqs_hz,
-                "magnitude": spec.magnitude,
-                "smoothed": spec.smoothed,
-            },
-        )
         rms = float(np.sqrt(np.mean(x * x)))
-        report["components"][name] = {
+        components[name] = {
             "rms": rms,
             "fundamental_hz": fundamental,
             "harmonic_score": score,
             "harmonics_found": peaks.harmonics_found,
             "peaks": [{"freq_hz": f, "magnitude": g} for f, g in peaks.peaks[: args.max_peaks]],
         }
-        report["outputs"][name] = path
         if fundamental is None:
             print(f"{name}: no peaks in band")
         else:
@@ -356,9 +335,15 @@ def cmd_analyze(args) -> int:
                 f"{name}: fundamental {fundamental:.4g} Hz, "
                 f"harmonic score {score:.2f}, rms {rms:.4g}"
             )
-    report["timestamp"] = fileio.utc_timestamp()
-    peaks_path = os.path.join(out, "peaks.json")
-    fileio.write_json(peaks_path, report)
+    outputs = _write_tables(args.out, tables)
+    peaks_path = _write_record(
+        args.out, "peaks.json", "analyze", args.input,
+        params={"fs": args.fs, "band_hz": list(args.band), "nfft": args.nfft,
+                "smooth_hz": args.smooth_hz, "n_harmonics": args.n_harmonics,
+                "tol_hz": args.tol_hz},
+        components=components,
+        outputs=outputs,
+    )
     print(f"wrote {peaks_path}")
     return 0
 
@@ -389,22 +374,16 @@ def cmd_bench_eta(args) -> int:
             f"rmse_x2 = {rows['rmse_x2'][-1]:.5g}, "
             f"rmse_sum = {rows['rmse_sum'][-1]:.5g}"
         )
-    out = args.out
-    sweep_path = os.path.join(out, "eta_sweep.csv")
-    fileio.write_columns_csv(sweep_path, {k: np.asarray(v) for k, v in rows.items()})
-    fileio.write_json(
-        os.path.join(out, "eta_sweep.json"),
-        {
-            "command": "bench-eta",
-            "input": {"path": args.input, "sha256": fileio.sha256_file(args.input)},
-            "etas": args.etas,
-            **{name: getattr(args, name) for name in SETTINGS},
-            "periods": [_period_snapshot(spec) for spec in specs],
-            "outputs": {"sweep": sweep_path},
-            "timestamp": fileio.utc_timestamp(),
-        },
+    columns = {k: np.asarray(v) for k, v in rows.items()}
+    outputs = _write_tables(args.out, {"sweep": ("eta_sweep.csv", columns)})
+    _write_record(
+        args.out, "eta_sweep.json", "bench-eta", args.input,
+        etas=args.etas,
+        **{name: getattr(args, name) for name in SETTINGS},
+        periods=[_period_snapshot(spec) for spec in specs],
+        outputs=outputs,
     )
-    print(f"wrote {sweep_path}")
+    print(f"wrote {outputs['sweep']}")
     return 0
 
 
@@ -544,11 +523,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_flags(path, command) -> list[str]:
-    """A JSON config file's settings as ``--flag=value`` tokens."""
-    with open(path) as fh:
-        cfg = json.load(fh)
+    """A JSON config file's settings as ``--flag=value`` tokens; an error
+    names the file."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return _config_tokens(json.load(fh), command)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _config_tokens(cfg, command) -> list[str]:
     if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: a config file holds one JSON object")
+        raise ValueError("a config file holds one JSON object")
     unknown = set(cfg) - set(CONFIG_FLAGS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -591,6 +577,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # every allocation seen to fail came from a setting (--n, --nfft)
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

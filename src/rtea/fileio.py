@@ -55,8 +55,9 @@ def write_columns_csv(path: str, columns: dict[str, np.ndarray]) -> None:
 
 def read_columns_csv(path: str) -> dict[str, np.ndarray]:
     """Read a CSV written by :func:`write_columns_csv` (or any headered
-    numeric table; a single headerless column is accepted as ``y``)."""
-    with open(path, "r", newline="") as fh:
+    numeric table; a single headerless column is accepted as ``y``).  A
+    leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped."""
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r]
     if not rows:

@@ -96,6 +96,11 @@ class TestEnvelopeSpectrum:
             with pytest.raises(ValueError, match="smooth_hz must be finite"):
                 envelope_spectrum(np.zeros(100), 10.0, smooth_hz=smooth_hz)
 
+    @pytest.mark.parametrize("smooth_hz", [-5.0, 0.0, -1e-300])
+    def test_non_positive_smooth_hz_rejected(self, smooth_hz):
+        with pytest.raises(ValueError, match=f"smooth_hz must be > 0, got {smooth_hz}"):
+            envelope_spectrum(np.ones(100), 10.0, smooth_hz=smooth_hz)
+
 
 class TestScipyEquivalence:
     """The numpy analytic signal and local maxima against scipy.signal."""

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import os
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -351,6 +354,31 @@ class TestExtract:
                     "--out", tmp_path / "x"]) == 2
         assert capsys.readouterr().err == f"error: {path}: {cause}\n"
 
+    @pytest.mark.parametrize("header", ["y\n", ""], ids=["header", "headerless"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, header):
+        y = np.random.default_rng(5).normal(size=400)
+        text = header + "".join(f"{v!r}\n" for v in y.tolist())
+        components = {}
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(bom + text.encode())
+            assert run(["extract", path, "--mode", "pogs", "--period1", 32,
+                        "--out", tmp_path / name]) == 0
+            components[name] = read_bytes(tmp_path / name / "components.csv")
+        assert components["bom"] == components["plain"]
+
+    @pytest.mark.parametrize("command, flags, cause", [
+        ("extract", ["--mode", "pogs", "--period1", 32],
+         "expected a 'y' column (or a single-column CSV), got columns ['index', ' y']"),
+        ("analyze", ["--fs", 12800],
+         "no x1/x2/y columns to analyze, got columns ['index', ' y']"),
+    ], ids=["extract", "analyze"])
+    def test_padded_header_is_named_in_the_error(self, tmp_path, capsys, command, flags, cause):
+        path = tmp_path / "padded.csv"
+        path.write_text("index, y\n" + "".join(f"{i}, {i % 7}.5\n" for i in range(400)))
+        assert run([command, path, *flags, "--out", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {cause}\n"
+
 
 def extract_with_config(generated, tmp_path, cfg, *flags, name="cfg"):
     cfg_path = tmp_path / f"{name}.json"
@@ -368,6 +396,8 @@ def extract_with_config(generated, tmp_path, cfg, *flags, name="cfg"):
     ("analyze", ["--fs", "inf"], "sample rate fs must be a finite positive real, got inf"),
     ("analyze", ["--fs", 12800, "--smooth-hz", "inf"], "smooth_hz must be finite, got inf"),
     ("analyze", ["--fs", 12800, "--smooth-hz", "nan"], "smooth_hz must be finite, got nan"),
+    ("analyze", ["--fs", 12800, "--smooth-hz", -5], "smooth_hz must be > 0, got -5.0"),
+    ("analyze", ["--fs", 12800, "--smooth-hz", 0], "smooth_hz must be > 0, got 0.0"),
     # a 1 024-sample record at 12.8 kHz has a 513-bin spectrum of 12.5 Hz bins
     ("analyze", ["--fs", 12800, "--smooth-hz", "1e5"],
      "smooth_hz = 100000.0 spans a 8001-bin smoothing kernel, wider than the 513-bin spectrum"),
@@ -383,7 +413,8 @@ def extract_with_config(generated, tmp_path, cfg, *flags, name="cfg"):
     ("generate", ["--modulation-freq", 6, "--fs", "nan"],
      "sample_rate_hz must be a finite positive real, got nan"),
 ], ids=["extract-inf-period", "extract-huge-period", "extract-inf-fs", "analyze-inf-fs",
-        "analyze-inf-smooth", "analyze-nan-smooth", "analyze-wide-smooth",
+        "analyze-inf-smooth", "analyze-nan-smooth", "analyze-negative-smooth",
+        "analyze-zero-smooth", "analyze-wide-smooth",
         "analyze-negative-tol-hz", "analyze-nan-tol-hz", "analyze-nan-band", "generate-inf-t1",
         "generate-nan-sigma", "generate-inf-sigma", "generate-inf-modulation",
         "generate-nan-fs"])
@@ -443,6 +474,30 @@ class TestConfigFile:
     def test_malformed_file_is_usage_error(self, generated, tmp_path, capsys, cfg, cause):
         assert extract_with_config(generated, tmp_path, cfg) == 2
         assert cause in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, cause", [
+        ('{"max_iter": 60,}',
+         "Expecting property name enclosed in double quotes: line 1 column 17 (char 16)"),
+        ('{"volume": 11}', "unknown config keys: ['volume']"),
+        ('{"n1": [3]}', "n1 must be a scalar or a 2-element list"),
+    ], ids=["malformed-json", "unknown-key", "one-element-n1"])
+    def test_error_names_the_file(self, generated, tmp_path, capsys, text, cause):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text)
+        assert run(["extract", generated / "signal.csv", "--config", cfg_path,
+                    "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: {cause}")
+        assert not (tmp_path / "o").exists()
+
+    def test_byte_order_mark_is_skipped(self, generated, tmp_path):
+        text = json.dumps({"period_samples": [32, 53], "max_iter": 20})
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_bytes(bom + text.encode())
+            assert run(["extract", generated / "signal.csv", "--config", cfg_path,
+                        "--out", tmp_path / name]) == 0
+        assert (read_bytes(tmp_path / "bom" / "components.csv")
+                == read_bytes(tmp_path / "plain" / "components.csv"))
 
     def test_both_prior_kinds_in_file_is_usage_error(self, generated, tmp_path, capsys):
         cfg = {"period_samples": [32, 53], "fault_freq_hz": [400, 241.5],
@@ -615,6 +670,55 @@ class TestBenchEta:
         write_columns_csv(str(tmp_path / "y.csv"), {"y": np.random.default_rng(0).normal(size=n)})
         assert run(["bench-eta", tmp_path / "y.csv", "--period1", 16,
                     "--period2", 25, "--out", tmp_path / "s"]) == 2
+
+
+# each command's flags and the name of the JSON record it writes
+RECORDS = {
+    "generate": ([], "truth.json"),
+    "extract": (["--period1", 32, "--period2", 53, "--max-iter", 20], "manifest.json"),
+    "analyze": (["--fs", 12800], "peaks.json"),
+    "bench-eta": (["--period1", 32, "--period2", 53, "--etas", "0.3,0.6",
+                   "--max-iter", 20], "eta_sweep.json"),
+}
+
+
+@pytest.mark.parametrize("command", list(RECORDS))
+def test_record_lists_every_output(generated, tmp_path, command):
+    flags, name = RECORDS[command]
+    inputs = [] if command == "generate" else [generated / "signal.csv"]
+    out = tmp_path / "run"
+    assert run([command, *inputs, *flags, "--out", out]) == 0
+    record = json.loads((out / name).read_text())
+    assert record["command"] == command
+    assert datetime.fromisoformat(record["timestamp"]).tzinfo is not None
+    if inputs:
+        digest = hashlib.sha256(read_bytes(inputs[0])).hexdigest()
+        assert record["input"] == {"path": str(inputs[0]), "sha256": digest}
+    else:
+        assert "input" not in record
+    paths = record["files" if command == "generate" else "outputs"].values()
+    assert {os.path.dirname(p) for p in paths} == {str(out)}
+    assert sorted(os.listdir(out)) == sorted([name, *map(os.path.basename, paths)])
+
+
+@pytest.mark.parametrize("command, callee, args", [
+    ("generate", "gen_mixture", ["--n", 10**14]),
+    ("analyze", "envelope_spectrum", ["signal.csv", "--fs", 12800, "--nfft", 10**11]),
+], ids=["generate", "analyze"])
+def test_out_of_memory_is_usage_error(generated, tmp_path, monkeypatch, capsys,
+                                      command, callee, args):
+    # a stand-in for numpy's allocation failure: allocating for real fails
+    # fast or not depending on the machine's overcommit mode
+    def fail(*_, **__):
+        raise MemoryError("Unable to allocate 728. TiB for an array")
+
+    monkeypatch.setattr(f"rtea.cli.{callee}", fail)
+    monkeypatch.chdir(generated)
+    out = tmp_path / "x"
+    assert run([command, *args, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 728. TiB for an array\n")
+    assert not out.exists()
 
 
 def test_console_entrypoint_help():
