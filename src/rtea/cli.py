@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -73,15 +75,33 @@ def _write_tables(out, tables) -> dict:
     return paths
 
 
-def _write_record(out, name, command, input_path=None, **fields) -> str:
-    """Write ``fields`` as the run record ``out/name``, adding the command,
-    the time and, for a command that reads a file, its path and digest."""
+def _json_safe(value):
+    """``value`` with every non-finite float (an open band edge, an overflow)
+    replaced by None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _write_record(out, name, command, **fields) -> str:
+    """Write ``fields`` as the run record ``out/name``, adding the command
+    and the time."""
     record = {**fields, "command": command, "timestamp": fileio.utc_timestamp()}
-    if input_path is not None:
-        record["input"] = {"path": input_path, "sha256": fileio.sha256_file(input_path)}
     path = os.path.join(out, name)
-    fileio.write_json(path, record)
+    fileio.write_json(path, _json_safe(record))
     return path
+
+
+def _read_input(path):
+    """The columns of the CSV at ``path`` and the record's ``input`` entry,
+    whose digest is taken now, before the run writes anything (its output
+    may replace the input)."""
+    cols = fileio.read_columns_csv(path)
+    return cols, {"path": path, "sha256": fileio.sha256_file(path)}
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +132,8 @@ def cmd_generate(args) -> int:
                 "modulation_freq_hz": args.modulation_freq, "sample_rate_hz": args.fs},
         seed=seed,
         child_seeds=list(mix.seeds),
-        onsets1=mix.train1.onsets.tolist(),
-        onsets2=mix.train2.onsets.tolist(),
+        onsets1=mix.onsets1.tolist(),
+        onsets2=mix.onsets2.tolist(),
         files=files,
         sha256={"signal": fileio.sha256_file(signal_path)},
     )
@@ -163,16 +183,16 @@ def _column(path, cols, name):
 
 
 def _read_observation(path):
-    cols = fileio.read_columns_csv(path)
+    """``y``, ``{i: xi_true}`` for each truth column present, and the
+    record's ``input`` entry."""
+    cols, source = _read_input(path)
     if "y" not in cols:
         raise ValueError(
             f"{path}: expected a 'y' column (or a single-column CSV), got columns {list(cols)!r}"
         )
     y = _column(path, cols, "y")
-    truth = None
-    if "x1_true" in cols and "x2_true" in cols:
-        truth = (_column(path, cols, "x1_true"), _column(path, cols, "x2_true"))
-    return y, truth
+    truth = {i: _column(path, cols, f"x{i}_true") for i in (1, 2) if f"x{i}_true" in cols}
+    return y, truth, source
 
 
 def _warn_unconverged(result, args, label=""):
@@ -188,7 +208,7 @@ def cmd_extract(args) -> int:
             f"--lam applies to --mode pogs only; --mode {args.mode} sets its "
             "weights from --eta and the noise estimate"
         )
-    y, truth = _read_observation(args.input)
+    y, truth, source = _read_observation(args.input)
     specs = _periods(args)
     sigma = estimate_sigma(y)
     manifest = {
@@ -235,11 +255,11 @@ def cmd_extract(args) -> int:
         else:
             notes.append("convexity bound: not applicable (lam0 = 0)")
         manifest["config"] = _config_snapshot(solver_cfg)
-    if truth is not None:
-        # pogs has one component, so it reports against x1_true only
-        for i, (x, xt) in enumerate(zip(result.xs, truth), 1):
-            manifest["metrics"][f"rmse_x{i}"] = rmse(x, xt)
-            manifest["metrics"][f"baseline_rmse_y_x{i}"] = rmse(y, xt)
+    # each solved component with its own truth column (pogs solves x1 only)
+    for i, x in enumerate(result.xs, 1):
+        if i in truth:
+            manifest["metrics"][f"rmse_x{i}"] = rmse(x, truth[i])
+            manifest["metrics"][f"baseline_rmse_y_x{i}"] = rmse(y, truth[i])
     state = "converged" if result.converged else "not converged"
     print(f"sigma_hat = {sigma:.6g}", *notes, sep="\n")
     print(f"iterations = {result.iterations} ({state})")
@@ -254,7 +274,7 @@ def cmd_extract(args) -> int:
     manifest["metrics"].update(
         final_cost=result.final_cost, iterations=result.iterations, converged=result.converged
     )
-    _write_record(args.out, "manifest.json", "extract", args.input,
+    _write_record(args.out, "manifest.json", "extract", input=source,
                   outputs=outputs, **manifest)
     print(f"wrote {outputs['components']}")
     return 0
@@ -300,7 +320,7 @@ def _config_snapshot(cfg) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    cols = fileio.read_columns_csv(args.input)
+    cols, source = _read_input(args.input)
     names = [n for n in ("x1", "x2") if n in cols]
     if not names:
         if "y" in cols:
@@ -337,7 +357,7 @@ def cmd_analyze(args) -> int:
             )
     outputs = _write_tables(args.out, tables)
     peaks_path = _write_record(
-        args.out, "peaks.json", "analyze", args.input,
+        args.out, "peaks.json", "analyze", input=source,
         params={"fs": args.fs, "band_hz": list(args.band), "nfft": args.nfft,
                 "smooth_hz": args.smooth_hz, "n_harmonics": args.n_harmonics,
                 "tol_hz": args.tol_hz},
@@ -353,14 +373,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench_eta(args) -> int:
-    y, truth = _read_observation(args.input)
-    if truth is None:
+    y, truth, source = _read_observation(args.input)
+    if len(truth) < 2:
         raise ValueError(
             f"{args.input}: ground-truth columns x1_true/x2_true are required "
             "for the eta sweep"
         )
     specs = _periods(args)
-    x1t, x2t = truth
+    x1t, x2t = truth[1], truth[2]
     rows = {"eta": [], "rmse_x1": [], "rmse_x2": [], "rmse_sum": []}
     for eta in args.etas:
         res = rtea_solve(y, _solver_config(y, args, specs, eta))
@@ -377,7 +397,7 @@ def cmd_bench_eta(args) -> int:
     columns = {k: np.asarray(v) for k, v in rows.items()}
     outputs = _write_tables(args.out, {"sweep": ("eta_sweep.csv", columns)})
     _write_record(
-        args.out, "eta_sweep.json", "bench-eta", args.input,
+        args.out, "eta_sweep.json", "bench-eta", input=source,
         etas=args.etas,
         **{name: getattr(args, name) for name in SETTINGS},
         periods=[_period_snapshot(spec) for spec in specs],
@@ -502,7 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("input", help="components CSV (x1/x2 columns) or any signal CSV")
     a.add_argument("--fs", type=float, required=True, help="sample rate [Hz]")
     a.add_argument("--band", type=float, nargs=2, default=(5.0, 500.0),
-                   metavar=("LO", "HI"), help="search band [Hz]")
+                   metavar=("LO", "HI"), help="search band [Hz]; inf or -inf leaves a side open")
+    # argparse reads "-inf" as an unknown option unless it counts as a negative number
+    a._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf$)")
     a.add_argument("--nfft", type=int, default=None)
     a.add_argument("--smooth-hz", dest="smooth_hz", type=float, default=2.0)
     a.add_argument("--n-harmonics", dest="n_harmonics", type=int, default=5)

@@ -57,8 +57,11 @@ def read_columns_csv(path: str) -> dict[str, np.ndarray]:
     """Read a CSV written by :func:`write_columns_csv` (or any headered
     numeric table; a single headerless column is accepted as ``y``).  A
     leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped."""
-    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     rows = [r for r in rows if r]
     if not rows:
         raise ValueError(f"{path}: empty CSV")
@@ -90,7 +93,8 @@ def read_columns_csv(path: str) -> dict[str, np.ndarray]:
 
 
 def write_json(path: str, obj) -> None:
-    _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    # strict JSON: a non-finite float raises instead of writing NaN or Infinity
+    _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def sha256_file(path: str) -> str:

@@ -1,6 +1,6 @@
 """Sparsity-promoting penalty families and their scalar quadratic majorizers.
 
-Four families are supported: "abs" (plain absolute value), and three
+Four families are available: "abs" (plain absolute value), and three
 non-convex relatives "log", "rat" and "atan".  The package uses the
 smoothed form of each, which evaluates the raw penalty at sqrt(u^2 + eps)
 instead of |u| so that it is continuously differentiable everywhere.  All

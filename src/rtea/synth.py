@@ -8,19 +8,25 @@ integer seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# Low/high bounds of each transient's uniform draws, in draw order: the count
+# of sinusoids (inclusive), then per sinusoid its amplitude, frequency, phase.
+N_SINES = (1, 10)
+AMPLITUDE = (0.5, 2.0)
+FREQ = (0.2 * np.pi, 0.9 * np.pi)
+PHASE = (0.0, TWO_PI)
 
 
 @dataclass(frozen=True)
 class TransientTrain:
     """Recipe for one periodic transient sequence.
 
-    Ranges are inclusive low/high pairs for the uniform draws; collapse a
-    range to a point to pin the value.  ``jitter_pct`` perturbs each onset
+    Each transient is drawn from the module's ``N_SINES``, ``AMPLITUDE``,
+    ``FREQ`` and ``PHASE`` bounds.  ``jitter_pct`` perturbs each onset
     by up to that percentage of the period.  If ``modulation_freq_hz`` is
     set (requires ``sample_rate_hz``), each transient is scaled by a
     ``1 + cos`` envelope evaluated at its onset time.
@@ -28,10 +34,6 @@ class TransientTrain:
 
     period_samples: float
     transient_len: int = 10
-    amplitude_range: tuple[float, float] = (0.5, 2.0)
-    freq_range: tuple[float, float] = (0.2 * np.pi, 0.9 * np.pi)
-    phase_range: tuple[float, float] = (0.0, TWO_PI)
-    n_sines_range: tuple[int, int] = (1, 10)
     jitter_pct: float = 0.0
     modulation_freq_hz: float | None = None
     sample_rate_hz: float | None = None
@@ -46,12 +48,6 @@ class TransientTrain:
             )
         if not 0.0 <= self.jitter_pct <= 5.0:
             raise ValueError(f"jitter_pct must lie in [0, 5], got {self.jitter_pct}")
-        for name in ("amplitude_range", "freq_range", "phase_range", "n_sines_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name} has low > high: {(lo, hi)}")
-        if self.n_sines_range[0] < 1:
-            raise ValueError("n_sines_range must start at >= 1")
         if self.modulation_freq_hz is not None and self.sample_rate_hz is None:
             raise ValueError("modulation_freq_hz requires sample_rate_hz")
         for name in ("modulation_freq_hz", "sample_rate_hz"):
@@ -62,23 +58,21 @@ class TransientTrain:
 
 @dataclass(frozen=True)
 class GeneratedTrain:
-    """One synthesized train: samples, onset indices and occupied support."""
+    """One synthesized train: samples and onset indices."""
 
     clean: np.ndarray
     onsets: np.ndarray
-    support: np.ndarray
 
 
 def _draw_transient(rng: np.random.Generator, train: TransientTrain) -> np.ndarray:
     # one transient: a sum of 1..J random sinusoids over the window
-    lo, hi = train.n_sines_range
-    j = int(rng.integers(lo, hi + 1))
+    j = int(rng.integers(N_SINES[0], N_SINES[1] + 1))
     n = np.arange(train.transient_len)
     g = np.zeros(train.transient_len)
     for _ in range(j):
-        amp = rng.uniform(*train.amplitude_range)
-        omega = rng.uniform(*train.freq_range)
-        theta = rng.uniform(*train.phase_range)
+        amp = rng.uniform(*AMPLITUDE)
+        omega = rng.uniform(*FREQ)
+        theta = rng.uniform(*PHASE)
         g += amp * np.sin(omega * n + theta)
     return g
 
@@ -88,7 +82,7 @@ def gen_train(train: TransientTrain, n_samples: int) -> GeneratedTrain:
 
     Transients that run past the end are truncated; with zero jitter and a
     period longer than the transient they never overlap.  Samples outside
-    the returned support are exactly zero.
+    the ``transient_len`` windows that start at the onsets are exactly zero.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -100,7 +94,6 @@ def gen_train(train: TransientTrain, n_samples: int) -> GeneratedTrain:
         )
     rng = np.random.default_rng(train.seed)
     clean = np.zeros(n_samples)
-    occupied = np.zeros(n_samples, dtype=bool)
     onsets = []
     k = 0
     while int(round(k * t)) < n_samples:
@@ -115,14 +108,9 @@ def gen_train(train: TransientTrain, n_samples: int) -> GeneratedTrain:
         if onset < n_samples:
             stop = min(onset + train.transient_len, n_samples)
             clean[onset:stop] += g[: stop - onset]
-            occupied[onset:stop] = True
             onsets.append(onset)
         k += 1
-    return GeneratedTrain(
-        clean=clean,
-        onsets=np.asarray(onsets, dtype=int),
-        support=np.flatnonzero(occupied),
-    )
+    return GeneratedTrain(clean=clean, onsets=np.asarray(onsets, dtype=int))
 
 
 @dataclass(frozen=True)
@@ -133,11 +121,9 @@ class Mixture:
     x1: np.ndarray
     x2: np.ndarray
     noise: np.ndarray
-    train1: GeneratedTrain
-    train2: GeneratedTrain
-    sigma: float
-    seed: int
-    seeds: tuple[int, int, int] = field(repr=False, default=(0, 0, 0))
+    onsets1: np.ndarray
+    onsets2: np.ndarray
+    seeds: tuple[int, int, int]
 
 
 def gen_mixture(
@@ -183,9 +169,7 @@ def gen_mixture(
         x1=g1.clean,
         x2=g2.clean,
         noise=noise,
-        train1=g1,
-        train2=g2,
-        sigma=sigma,
-        seed=seed,
+        onsets1=g1.onsets,
+        onsets2=g2.onsets,
         seeds=(s1, s2, sn),
     )

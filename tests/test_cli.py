@@ -8,6 +8,7 @@ import pytest
 
 from rtea.cli import main
 from rtea.fileio import read_columns_csv, write_columns_csv
+from rtea.synth import gen_mixture
 
 
 def run(args):
@@ -58,6 +59,21 @@ class TestGenerate:
         for out in (a, b):
             assert run(["generate", "--seed", 3, "--out", out]) == 0
         assert read_bytes(a / "signal.csv") == read_bytes(b / "signal.csv")
+
+    def test_matches_library(self, tmp_path):
+        out = tmp_path / "g"
+        assert run(["generate", "--seed", 7, "--jitter", 2, "--modulation-freq", 6,
+                    "--fs", 12800, "--out", out]) == 0
+        mix = gen_mixture(seed=7, jitter_pct=2.0, modulation_freq_hz=6.0,
+                          sample_rate_hz=12800.0)
+        cols = read_columns_csv(str(out / "signal.csv"))
+        for name, expected in (("y", mix.y), ("x1_true", mix.x1), ("x2_true", mix.x2),
+                               ("w", mix.noise)):
+            np.testing.assert_array_equal(cols[name], expected)
+        truth = json.loads((out / "truth.json").read_text())
+        assert truth["onsets1"] == mix.onsets1.tolist()
+        assert truth["onsets2"] == mix.onsets2.tolist()
+        assert truth["child_seeds"] == list(mix.seeds)
 
     def test_sigma_zero(self, tmp_path):
         out = tmp_path / "clean"
@@ -140,6 +156,19 @@ class TestExtract:
         metrics = json.loads((out / "manifest.json").read_text())["metrics"]
         assert metrics["rmse_x1"] < metrics["baseline_rmse_y_x1"]
         assert "rmse_x2" not in metrics and "baseline_rmse_y_x2" not in metrics
+
+    @pytest.mark.parametrize("mode, kept", [("pogs", 1), ("rtea", 1), ("rtea", 2)])
+    def test_one_truth_column_gets_its_metrics(self, generated, tmp_path, mode, kept):
+        cols = read_columns_csv(str(generated / "signal.csv"))
+        path = tmp_path / "one_truth.csv"
+        write_columns_csv(str(path), {"y": cols["y"], f"x{kept}_true": cols[f"x{kept}_true"]})
+        out = tmp_path / "x"
+        assert run(["extract", path, "--mode", mode, "--period1", 32, "--period2", 53,
+                    "--max-iter", 40, "--out", out]) == 0
+        metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+        assert {k for k in metrics if "rmse" in k} == {
+            f"rmse_x{kept}", f"baseline_rmse_y_x{kept}"}
+        assert metrics[f"rmse_x{kept}"] < metrics[f"baseline_rmse_y_x{kept}"]
 
     def test_mca_mode(self, generated, tmp_path):
         out = tmp_path / "mca"
@@ -353,6 +382,20 @@ class TestExtract:
         assert run(["extract", path, "--period1", 16, "--period2", 25,
                     "--out", tmp_path / "x"]) == 2
         assert capsys.readouterr().err == f"error: {path}: {cause}\n"
+
+    @pytest.mark.parametrize("command, flags", [
+        ("extract", ["--mode", "pogs", "--period1", 3]),
+        ("analyze", ["--fs", 12800]),
+    ], ids=["extract", "analyze"])
+    def test_non_utf8_input_is_named_in_the_error(self, tmp_path, capsys, command, flags):
+        path = tmp_path / "latin.csv"
+        path.write_bytes("y\n0.5\ncaf\u00e9\n".encode("latin-1"))
+        out = tmp_path / "x"
+        assert run([command, path, *flags, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xe9 in position 9: "
+            "invalid continuation byte\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("header", ["y\n", ""], ids=["header", "headerless"])
     def test_byte_order_mark_is_skipped(self, tmp_path, header):
@@ -672,23 +715,38 @@ class TestBenchEta:
                     "--period2", 25, "--out", tmp_path / "s"]) == 2
 
 
-# each command's flags and the name of the JSON record it writes
+# each case's command, its flags and the name of the JSON record it writes
 RECORDS = {
-    "generate": ([], "truth.json"),
-    "extract": (["--period1", 32, "--period2", 53, "--max-iter", 20], "manifest.json"),
-    "analyze": (["--fs", 12800], "peaks.json"),
-    "bench-eta": (["--period1", 32, "--period2", 53, "--etas", "0.3,0.6",
-                   "--max-iter", 20], "eta_sweep.json"),
+    "generate": ("generate", [], "truth.json"),
+    "extract": ("extract", ["--period1", 32, "--period2", 53, "--max-iter", 20],
+                "manifest.json"),
+    "analyze": ("analyze", ["--fs", 12800], "peaks.json"),
+    "analyze-open-high": ("analyze", ["--fs", 12800, "--band", 10, "inf"], "peaks.json"),
+    "analyze-open-low": ("analyze", ["--fs", 12800, "--band", "-inf", 200], "peaks.json"),
+    "bench-eta": ("bench-eta", ["--period1", 32, "--period2", 53, "--etas", "0.3,0.6",
+                                "--max-iter", 20], "eta_sweep.json"),
 }
+# the band each open-edge case records: the infinite edge as null
+OPEN_BANDS = {"analyze-open-high": [10.0, None], "analyze-open-low": [None, 200.0]}
 
 
-@pytest.mark.parametrize("command", list(RECORDS))
-def test_record_lists_every_output(generated, tmp_path, command):
-    flags, name = RECORDS[command]
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("case", list(RECORDS))
+def test_record_lists_every_output(generated, tmp_path, case):
+    command, flags, name = RECORDS[case]
     inputs = [] if command == "generate" else [generated / "signal.csv"]
     out = tmp_path / "run"
     assert run([command, *inputs, *flags, "--out", out]) == 0
-    record = json.loads((out / name).read_text())
+    record = strict_json((out / name).read_text())
+    if case in OPEN_BANDS:
+        assert record["params"]["band_hz"] == OPEN_BANDS[case]
     assert record["command"] == command
     assert datetime.fromisoformat(record["timestamp"]).tzinfo is not None
     if inputs:
@@ -719,6 +777,19 @@ def test_out_of_memory_is_usage_error(generated, tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().err == (
         "error: out of memory: Unable to allocate 728. TiB for an array\n")
     assert not out.exists()
+
+
+def test_record_digest_is_of_the_input_as_read(tmp_path):
+    # the run's components.csv replaces the input it was read from
+    out = tmp_path / "o3"
+    write_columns_csv(str(out / "components.csv"),
+                      {"y": np.random.default_rng(3).normal(size=64)})
+    original = hashlib.sha256(read_bytes(out / "components.csv")).hexdigest()
+    assert run(["extract", out / "components.csv", "--mode", "pogs", "--period1", 8,
+                "--m", 2, "--out", out]) == 0
+    record = json.loads((out / "manifest.json").read_text())
+    assert record["input"]["sha256"] == original
+    assert hashlib.sha256(read_bytes(out / "components.csv")).hexdigest() != original
 
 
 def test_console_entrypoint_help():

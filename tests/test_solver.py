@@ -406,7 +406,8 @@ class TestPogs:
         y = train.clean + 0.3 * rng.normal(size=400)
         x = pogs_solve(y, WeightArray.ones(3), 0.3 * 1.15, PenaltySpec("abs"), max_iter=300).x1
         on_support = np.zeros(400, dtype=bool)
-        on_support[train.support] = True
+        for onset in train.onsets:
+            on_support[onset : onset + 6] = True
         # allow spill into the two samples flanking each transient (group width 3)
         spill = on_support.copy()
         spill[1:] |= on_support[:-1]

@@ -1,43 +1,53 @@
 import numpy as np
 import pytest
 
-from rtea.synth import Mixture, TransientTrain, gen_mixture, gen_train
+from rtea.synth import (
+    AMPLITUDE,
+    FREQ,
+    N_SINES,
+    PHASE,
+    Mixture,
+    TransientTrain,
+    gen_mixture,
+    gen_train,
+)
 
 from oracles import gen_transient
 
 
-def pinned_train(**overrides):
-    base = dict(
-        period_samples=32.0,
-        transient_len=10,
-        amplitude_range=(1.0, 1.0),
-        freq_range=(np.pi / 2, np.pi / 2),
-        phase_range=(0.0, 0.0),
-        n_sines_range=(1, 1),
-        seed=0,
-    )
-    base.update(overrides)
-    return TransientTrain(**base)
+def occupied(train, g, n_samples):
+    """The mask of the ``transient_len`` windows starting at ``g``'s onsets."""
+    mask = np.zeros(n_samples, dtype=bool)
+    for onset in g.onsets:
+        mask[onset : onset + train.transient_len] = True
+    return mask
 
 
 class TestTransient:
-    def test_pinned_sine_table(self):
-        g = gen_transient(pinned_train())
-        expected = np.sin(np.pi / 2 * np.arange(10))
-        np.testing.assert_allclose(g, expected, atol=1e-12)
-        np.testing.assert_allclose(g, [0, 1, 0, -1, 0, 1, 0, -1, 0, 1], atol=1e-12)
+    def test_draw_order(self):
+        # the count of sinusoids, then amplitude, frequency and phase of each
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            n = np.arange(12)
+            expected = np.zeros(12)
+            for _ in range(int(rng.integers(N_SINES[0], N_SINES[1] + 1))):
+                amp = rng.uniform(*AMPLITUDE)
+                omega = rng.uniform(*FREQ)
+                theta = rng.uniform(*PHASE)
+                expected += amp * np.sin(omega * n + theta)
+            train = TransientTrain(period_samples=40, transient_len=12, seed=seed)
+            np.testing.assert_array_equal(gen_transient(train), expected)
 
     def test_deterministic(self):
         train = TransientTrain(period_samples=40, seed=123)
         np.testing.assert_array_equal(gen_transient(train), gen_transient(train))
 
     def test_amplitude_bound(self):
-        # with unit amplitudes the triangle inequality caps a 10-sine sum at 10
-        train = TransientTrain(
-            period_samples=40, amplitude_range=(1.0, 1.0), n_sines_range=(10, 10), seed=7
-        )
-        g = gen_transient(train)
-        assert np.max(np.abs(g)) <= 10.0
+        # the triangle inequality caps a sum of sinusoids
+        train = TransientTrain(period_samples=40, seed=7)
+        for seed in range(50):
+            g = gen_transient(train, seed)
+            assert np.max(np.abs(g)) <= AMPLITUDE[1] * N_SINES[1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -75,29 +85,27 @@ class TestTrain:
     def test_zero_outside_support(self):
         train = TransientTrain(period_samples=53, seed=3)
         g = gen_train(train, 1024)
-        mask = np.ones(1024, dtype=bool)
-        mask[g.support] = False
-        np.testing.assert_array_equal(g.clean[mask], 0.0)
+        np.testing.assert_array_equal(g.clean[~occupied(train, g, 1024)], 0.0)
 
     def test_no_overlap_without_jitter(self):
         train = TransientTrain(period_samples=13, transient_len=10, seed=4)
         g = gen_train(train, 400)
-        # supports of consecutive transients must be disjoint: total size matches
+        # windows of consecutive transients must be disjoint: total size matches
         expected = 0
         for onset in g.onsets:
             expected += min(10, 400 - onset)
-        assert len(g.support) == expected
+        assert np.count_nonzero(occupied(train, g, 400)) == expected
 
     def test_modulation_envelope_scales_onsets(self):
         fs, fmod = 1000.0, 7.0
-        train = pinned_train(
+        train = TransientTrain(
             period_samples=50.0,
             modulation_freq_hz=fmod,
             sample_rate_hz=fs,
             seed=5,
         )
         g = gen_train(train, 1000)
-        plain = gen_train(pinned_train(period_samples=50.0, seed=5), 1000)
+        plain = gen_train(TransientTrain(period_samples=50.0, seed=5), 1000)
         for onset in g.onsets:
             env = 1.0 + np.cos(2 * np.pi * fmod * onset / fs)
             seg = g.clean[onset : onset + 10]
@@ -121,7 +129,7 @@ class TestMixture:
         mix = gen_mixture(seed=5)
         assert isinstance(mix, Mixture)
         assert mix.y.size == 1024
-        assert len(mix.train2.onsets) >= 19
+        assert len(mix.onsets2) >= 19
 
     def test_autocorrelation_recovers_periods(self):
         mix = gen_mixture(seed=6, sigma=0.0)
