@@ -22,8 +22,20 @@ def rmse(a, b) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.sqrt(np.mean(d * d)))
+    return _rms(a - b)
+
+
+def _rms(x: np.ndarray) -> float:
+    """Root mean square of ``x``.  Where the squares overflow (above about
+    1.3e154) it is taken of ``x`` divided by its largest magnitude and
+    scaled back, so it stays finite; every other value is the plain
+    ``sqrt(mean(x*x))``."""
+    with np.errstate(over="ignore"):
+        r = float(np.sqrt(np.mean(x * x)))
+    if r == np.inf:
+        top = float(np.max(np.abs(x)))
+        r = top * float(np.sqrt(np.mean(np.square(x / top))))
+    return r
 
 
 @dataclass(frozen=True)
@@ -75,8 +87,12 @@ def envelope_spectrum(x, fs: float, nfft: int | None = None, smooth_hz: float = 
     if nfft < x.size:
         raise ValueError(f"nfft = {nfft} is below the signal length {x.size}")
     resolution = fs / nfft
-    # the smoothing kernel, odd so that it is centered
-    width = max(3, int(round(smooth_hz / resolution))) | 1
+    if not resolution > 0:
+        raise ValueError(f"resolution fs / nfft = {fs} / {nfft} underflows to 0")
+    # the smoothing kernel, odd so that it is centered; an overflowing span
+    # stays inf, wider than any spectrum
+    span = smooth_hz / resolution
+    width = max(3, int(round(span))) | 1 if span < np.inf else span
     bins = nfft // 2 + 1
     if width > bins:
         raise ValueError(
@@ -133,7 +149,9 @@ def find_peaks(
     """Locate local maxima of the smoothed profile inside ``band_hz`` and
     score how consistently multiples of the strongest one reappear within
     ``tol_hz`` (default: the larger of 1 Hz and two bins).  An infinite band
-    edge leaves that side open."""
+    edge leaves that side open.  A given ``tol_hz`` must be below the top of
+    the spectrum.  The search ends at the highest local maximum: no multiple
+    above it plus ``tol_hz`` can be found."""
     lo, hi = band_hz
     if np.isnan(lo) or np.isnan(hi):
         raise ValueError(f"band_hz must not have a NaN edge, got {band_hz}")
@@ -147,6 +165,12 @@ def find_peaks(
         tol_hz = max(1.0, 2.0 * spec.resolution_hz)
     elif not 0 < tol_hz < np.inf:
         raise ValueError(f"tol_hz must be a finite positive real, got {tol_hz}")
+    elif not tol_hz < spec.freqs_hz[-1]:
+        # every multiple up to the top maximum plus tol_hz would be found
+        raise ValueError(
+            f"tol_hz = {tol_hz} is not below the top of the spectrum, "
+            f"{float(spec.freqs_hz[-1])} Hz"
+        )
     maxima = _local_maxima(spec.smoothed)
     freqs = spec.freqs_hz[maxima]
     mags = spec.smoothed[maxima]
@@ -159,11 +183,9 @@ def find_peaks(
     if not peaks:
         return PeakReport(peaks=[], fundamental_hz=None, harmonic_score=0.0, harmonics_found=[])
     f1 = peaks[0][0]
-    found = [
-        k
-        for k in range(1, n_harmonics + 1)
-        if freqs.size and np.min(np.abs(freqs - k * f1)) <= tol_hz
-    ]
+    # f1 > 0 (an edge is never a maximum); one k past the bound absorbs rounding
+    top = min(n_harmonics, int((freqs[-1] + tol_hz) // f1) + 1)
+    found = [k for k in range(1, top + 1) if np.min(np.abs(freqs - k * f1)) <= tol_hz]
     return PeakReport(
         peaks=peaks,
         fundamental_hz=f1,

@@ -13,18 +13,19 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import fileio
-from .analysis import envelope_spectrum, find_peaks, rmse
+from .analysis import _rms, envelope_spectrum, find_peaks, rmse
 from .penalties import FAMILIES, PenaltySpec
 from .params import (
     PeriodSpec,
+    _config,
     _lambda_scale,
     beta_lookup,
     build_weight_array,
-    default_config,
     estimate_sigma,
 )
 from .regularizers import _as_signal
@@ -165,12 +166,10 @@ def _periods(args) -> list[PeriodSpec]:
     return specs
 
 
-def _solver_config(y, args, specs, eta):
-    """The solver config of one rtea run of extract or bench-eta."""
-    return default_config(
-        y, *specs, eta=eta, a0_fraction=args.a0_fraction,
-        family=args.penalty, max_iter=args.max_iter, tol=args.tol,
-    )
+def _solver_config(sigma, args, specs, eta):
+    """The solver config of one rtea run of extract or bench-eta, at the
+    run's one noise estimate ``sigma``."""
+    return _config(sigma, *specs, eta, args.a0_fraction, args.penalty, args.max_iter, args.tol)
 
 
 def _column(path, cols, name):
@@ -239,7 +238,7 @@ def cmd_extract(args) -> int:
                 "each other (x1 == x2) and the decomposition degrades",
                 file=sys.stderr,
             )
-        solver_cfg = _solver_config(y, args, specs, args.eta)
+        solver_cfg = _solver_config(sigma, args, specs, args.eta)
         result = rtea_solve(y, solver_cfg)
         notes = [
             f"lambda0 = {solver_cfg.lam0:.6g}, lambda1 = {solver_cfg.lam1:.6g}, "
@@ -281,18 +280,12 @@ def cmd_extract(args) -> int:
 
 
 def _period_snapshot(spec: PeriodSpec) -> dict:
-    return {
-        "period_samples": spec.period,
-        "period_int": spec.period_int,
-        "fault_freq_hz": spec.fault_freq_hz,
-        "sample_rate_hz": spec.sample_rate_hz,
-        "n1": spec.n1,
-        "m": spec.m,
-    }
+    # period_samples is the period either way, also one derived from a fault frequency
+    return {**asdict(spec), "period_samples": spec.period, "period_int": spec.period_int}
 
 
 def _mask_snapshot(b) -> dict:
-    return {"n1": b.n1, "n0": b.n0, "m": b.m, "length": len(b)}
+    return {**asdict(b), "length": len(b)}
 
 
 def _config_snapshot(cfg) -> dict:
@@ -330,17 +323,18 @@ def cmd_analyze(args) -> int:
                 f"{args.input}: no x1/x2/y columns to analyze, got columns {list(cols)!r}"
             )
     xs = {name: _column(args.input, cols, name) for name in names}
+    spectrum = {"fs": args.fs, "nfft": args.nfft, "smooth_hz": args.smooth_hz}
+    search = {"band_hz": tuple(args.band), "n_harmonics": args.n_harmonics,
+              "tol_hz": args.tol_hz}
     tables, components = {}, {}
     for name, x in xs.items():
-        spec = envelope_spectrum(x, args.fs, nfft=args.nfft, smooth_hz=args.smooth_hz)
+        spec = envelope_spectrum(x, **spectrum)
         tables[name] = (f"spectrum_{name}.csv", {"freq_hz": spec.freqs_hz,
                                                  "magnitude": spec.magnitude,
                                                  "smoothed": spec.smoothed})
-        peaks = find_peaks(
-            spec, tuple(args.band), n_harmonics=args.n_harmonics, tol_hz=args.tol_hz
-        )
+        peaks = find_peaks(spec, **search)
         fundamental, score = peaks.fundamental_hz, peaks.harmonic_score
-        rms = float(np.sqrt(np.mean(x * x)))
+        rms = _rms(x)
         components[name] = {
             "rms": rms,
             "fundamental_hz": fundamental,
@@ -358,9 +352,7 @@ def cmd_analyze(args) -> int:
     outputs = _write_tables(args.out, tables)
     peaks_path = _write_record(
         args.out, "peaks.json", "analyze", input=source,
-        params={"fs": args.fs, "band_hz": list(args.band), "nfft": args.nfft,
-                "smooth_hz": args.smooth_hz, "n_harmonics": args.n_harmonics,
-                "tol_hz": args.tol_hz},
+        params={**spectrum, **search},
         components=components,
         outputs=outputs,
     )
@@ -380,10 +372,11 @@ def cmd_bench_eta(args) -> int:
             "for the eta sweep"
         )
     specs = _periods(args)
+    sigma = estimate_sigma(y)
     x1t, x2t = truth[1], truth[2]
     rows = {"eta": [], "rmse_x1": [], "rmse_x2": [], "rmse_sum": []}
     for eta in args.etas:
-        res = rtea_solve(y, _solver_config(y, args, specs, eta))
+        res = rtea_solve(y, _solver_config(sigma, args, specs, eta))
         _warn_unconverged(res, args, f"eta = {eta}: ")
         rows["eta"].append(eta)
         rows["rmse_x1"].append(rmse(res.x1, x1t))

@@ -26,6 +26,12 @@ BETA_TABLE = np.array(
 BETA_TABLE.setflags(write=False)
 
 MAD_TO_SIGMA = 1.0 / 0.6745
+# The largest coupling concavity in noise units, a0*sigma = a0_fraction /
+# (k0*beta0*eta).  The coupling's majorizer denominator grows as a0^2 t^3 in
+# a window norm t (penalties._denom_at), that is (a0*sigma)^2 * sigma *
+# (t/sigma)^3, so at this cap it stays finite while sigma*(t/sigma)^3 is
+# below about 1e108.  Only an eta below about 1e-100 reaches it.
+A0_NOISE_MAX = 1e100
 
 
 @dataclass(frozen=True)
@@ -152,6 +158,11 @@ def default_config(
     resulting problem is convex by construction.  The ``abs`` family, and
     ``eta = 0`` (no coupling term: the MCA baseline), take ``a0 = 0``.
     """
+    return _config(estimate_sigma(y), spec1, spec2, eta, a0_fraction, family, max_iter, tol)
+
+
+def _config(sigma, spec1, spec2, eta, a0_fraction, family, max_iter, tol) -> SolverConfig:
+    """:func:`default_config` at the noise level ``sigma``."""
     if not 0.0 <= a0_fraction < 1.0:
         raise ValueError(f"a0_fraction must lie in [0, 1), got {a0_fraction}")
     b1 = build_weight_array(spec1)
@@ -160,11 +171,20 @@ def default_config(
     beta0 = beta_lookup(k0, 1)
     beta1 = beta_lookup(spec1.n1, spec1.m)
     beta2 = beta_lookup(spec2.n1, spec2.m)
-    sigma = _lambda_scale(estimate_sigma(y))
+    sigma = _lambda_scale(sigma)
     lam0, lam1, lam2 = _choose_lambdas(eta, beta0, beta1, beta2, sigma)
     a0 = 0.0
-    if lam0 > 0 and family != "abs":
+    if lam0 > 0 and a0_fraction > 0 and family != "abs":
         a0 = a0_fraction * check_convexity(k0, lam0, 0.0)[1]
+        if not a0 * sigma <= A0_NOISE_MAX:
+            raise ValueError(
+                f"eta = {eta} is too small for a concave coupling term: it puts "
+                f"the concavity at a0 = {a0:.3g}, where its majorizer can overflow "
+                f"(a0 * sigma_hat = {a0 * sigma:.3g} is above {A0_NOISE_MAX:g}); "
+                "eta = 0 drops the coupling term"
+            )
+        if a0 < np.finfo(float).tiny:
+            a0 = 0.0  # subnormal: abs to within rounding, and 1/a0 overflows
     pen0 = PenaltySpec(family=family if a0 > 0 else "abs", a=a0)
     convex = PenaltySpec("abs")
     return SolverConfig(

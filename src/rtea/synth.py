@@ -92,6 +92,12 @@ def gen_train(train: TransientTrain, n_samples: int) -> GeneratedTrain:
             f"period {t} must exceed transient_len {train.transient_len}; "
             "consecutive transients would overlap"
         )
+    f = train.modulation_freq_hz
+    if f is not None and not TWO_PI * f * n_samples / train.sample_rate_hz < np.inf:
+        raise ValueError(
+            f"modulation phase 2*pi*modulation_freq_hz*n/sample_rate_hz = "
+            f"2*pi*{f}*{n_samples}/{train.sample_rate_hz} overflows"
+        )
     rng = np.random.default_rng(train.seed)
     clean = np.zeros(n_samples)
     onsets = []

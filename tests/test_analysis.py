@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -8,6 +10,7 @@ from rtea.analysis import (
     EnvelopeSpectrum,
     _analytic_signal,
     _local_maxima,
+    _rms,
     envelope_spectrum,
     find_peaks,
     rmse,
@@ -175,3 +178,52 @@ class TestFindPeaks:
             find_peaks(spec, (30.0, 10.0))
         with pytest.raises(ValueError):
             find_peaks(spec, (60.0, 80.0))
+
+    def test_harmonic_search_ends_at_the_highest_maximum(self):
+        # a comb at 10 Hz with its top maximum at 40 Hz: no harmonic above it
+        freqs = np.linspace(0, 50, 501)
+        mag = np.zeros_like(freqs)
+        for k in (1, 2, 4):
+            mag[100 * k] = 5.0 / k
+        spec = EnvelopeSpectrum(freqs, mag, mag, 0.1)
+        start = time.perf_counter()
+        rep = find_peaks(spec, (5.0, 15.0), n_harmonics=10**8, tol_hz=0.2)
+        assert time.perf_counter() - start < 1.0
+        maxima = freqs[_local_maxima(mag)]
+        # brute force, a few harmonics past the bound
+        brute = [k for k in range(1, 10) if np.min(np.abs(maxima - k * 10.0)) <= 0.2]
+        assert rep.harmonics_found == brute == [1, 2, 4]
+        assert rep.harmonic_score == 3 / 10**8
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.integers(0, 4), min_size=3, max_size=80),
+           n_harmonics=st.integers(1, 60), tol=st.floats(0.01, 0.99))
+    def test_harmonics_match_brute_force(self, values, n_harmonics, tol):
+        spec = self.make_spectrum(values, fs=100.0)
+        tol_hz = tol * spec.freqs_hz[-1]
+        rep = find_peaks(spec, (0.0, 50.0), n_harmonics=n_harmonics, tol_hz=tol_hz)
+        maxima = spec.freqs_hz[_local_maxima(spec.smoothed)]
+        brute = [] if rep.fundamental_hz is None else [
+            k for k in range(1, n_harmonics + 1)
+            if np.min(np.abs(maxima - k * rep.fundamental_hz)) <= tol_hz]
+        assert rep.harmonics_found == brute
+
+    def test_tolerance_spanning_the_spectrum_rejected(self):
+        spec = self.make_spectrum(np.ones(101))
+        with pytest.raises(ValueError, match="tol_hz = 50.0 is not below the top of the spectrum"):
+            find_peaks(spec, (5.0, 45.0), tol_hz=50.0)
+
+
+class TestRms:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 300), exponent=st.integers(-150, 150), seed=st.integers(0, 2**32 - 1))
+    def test_plain_formula_wherever_it_is_finite(self, n, exponent, seed):
+        x = np.random.default_rng(seed).normal(size=n) * 10.0**exponent
+        assert _rms(x) == float(np.sqrt(np.mean(x * x)))
+
+    def test_overflowing_squares_stay_finite(self):
+        x = np.random.default_rng(0).normal(size=1024)
+        expected = 1e160 * float(np.sqrt(np.mean(x * x)))
+        assert _rms(1e160 * x) == pytest.approx(expected, rel=1e-12)
+        assert rmse(1e160 * x, np.zeros_like(x)) == pytest.approx(expected, rel=1e-12)
+        assert rmse(1e160 * x, -1e160 * x) == pytest.approx(2 * expected, rel=1e-12)

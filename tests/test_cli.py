@@ -1,13 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tempfile
+import warnings
 from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rtea.cli import main
 from rtea.fileio import read_columns_csv, write_columns_csv
+from rtea.params import estimate_sigma
 from rtea.synth import gen_mixture
 
 
@@ -759,6 +766,93 @@ def test_record_lists_every_output(generated, tmp_path, case):
     assert sorted(os.listdir(out)) == sorted([name, *map(os.path.basename, paths)])
 
 
+@pytest.mark.parametrize("command, flags, cause", [
+    ("extract", ["--freq1", 57.8, "--freq2", 43.3],
+     "--fs (sample rate) is required with fault frequencies"),
+    ("analyze", ["--fs", 12800, "--n-harmonics", 0], "n_harmonics must be >= 1, got 0"),
+    ("extract", ["--period1", 32, "--period2", 53, "--n1", 0], "n1 must be >= 1, got 0"),
+    ("extract", ["--period1", 32, "--period2", 53, "--m", 0], "m must be >= 1, got 0"),
+    ("generate", ["--n", 0], "n_samples must be >= 1, got 0"),
+    # found by the fuzz test below
+    ("analyze", ["--fs", "5e-324"], "resolution fs / nfft = 5e-324 / 1024 underflows to 0"),
+    ("analyze", ["--fs", "1e-300", "--smooth-hz", "1e300"],
+     "smooth_hz = 1e+300 spans a inf-bin smoothing kernel, wider than the 513-bin spectrum"),
+    ("analyze", ["--fs", 12800, "--n-harmonics", 10**8, "--tol-hz", 10**8],
+     "tol_hz = 100000000.0 is not below the top of the spectrum, 6400.0 Hz"),
+    ("generate", ["--modulation-freq", 1, "--fs", "5e-324"],
+     "modulation phase 2*pi*modulation_freq_hz*n/sample_rate_hz = 2*pi*1.0*1024/5e-324 "
+     "overflows"),
+], ids=["extract-freq-without-fs", "analyze-zero-harmonics", "extract-zero-n1",
+        "extract-zero-m", "generate-zero-n", "analyze-subnormal-fs",
+        "analyze-overflowing-smooth", "analyze-tolerance-past-the-spectrum",
+        "generate-overflowing-modulation"])
+def test_refusal_names_its_cause(generated, tmp_path, capsys, command, flags, cause):
+    inputs = [] if command == "generate" else [generated / "signal.csv"]
+    out = tmp_path / "x"
+    assert run([command, *inputs, *flags, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {cause}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("extract", []), ("extract", ["--mode", "pogs"]), ("extract", ["--eta", 0]),
+    ("bench-eta", []),
+], ids=["extract-rtea", "extract-pogs", "extract-mca", "bench-eta"])
+def test_one_noise_estimate_per_run(generated, tmp_path, monkeypatch, command, flags):
+    calls = []
+
+    def counting(y):
+        calls.append(y)
+        return estimate_sigma(y)
+
+    # the command's own call and any the library makes for it
+    monkeypatch.setattr("rtea.cli.estimate_sigma", counting)
+    monkeypatch.setattr("rtea.params.estimate_sigma", counting)
+    assert run([command, generated / "signal.csv", "--period1", 32, "--period2", 53,
+                "--max-iter", 2, *flags, "--out", tmp_path / "x"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("extract", ["--eta", "1e-300"]), ("extract", ["--eta", "1e-310"]),
+    ("extract", ["--eta", "5e-324"]), ("bench-eta", ["--etas", "1e-300"]),
+], ids=["extract-1e-300", "extract-1e-310", "extract-5e-324", "bench-eta-1e-300"])
+def test_eta_too_small_for_a_concave_coupling(generated, tmp_path, capsys, command, flags):
+    out = tmp_path / "x"
+    assert run([command, generated / "signal.csv", "--period1", 32, "--period2", 53,
+                *flags, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: eta = {float(flags[1])} is too small for a concave coupling")
+    assert err.endswith("; eta = 0 drops the coupling term\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("extract", ["--eta", "1e-100"]),
+    ("extract", ["--eta", "1e-310", "--a0-fraction", 0]),
+    ("extract", ["--eta", "5e-324", "--penalty", "abs"]),
+    ("extract", ["--eta", "0.5", "--a0-fraction", "5e-324"]),
+    ("bench-eta", ["--etas", "1e-300", "--a0-fraction", 0]),
+], ids=["eta-1e-100", "a0-fraction-0", "abs", "subnormal-a0", "bench-eta-a0-fraction-0"])
+def test_tiny_eta_or_a0_runs(generated, tmp_path, command, flags):
+    # no numpy warning either: tier-1 turns each into an error
+    out = tmp_path / "x"
+    assert run([command, generated / "signal.csv", "--period1", 32, "--period2", 53,
+                "--max-iter", 20, *flags, "--out", out]) == 0
+    if command == "extract" and flags[1] != "1e-100":
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["penalty0"], config["a0"]) == ("abs", 0.0)
+
+
+def test_rms_of_a_huge_component_is_finite(tmp_path):
+    x = np.random.default_rng(0).normal(size=1024)
+    write_columns_csv(str(tmp_path / "c.csv"), {"x1": 1e160 * x})
+    out = tmp_path / "a"
+    assert run(["analyze", tmp_path / "c.csv", "--fs", 12800, "--out", out]) == 0
+    rms = strict_json((out / "peaks.json").read_text())["components"]["x1"]["rms"]
+    assert rms == pytest.approx(1e160 * float(np.sqrt(np.mean(x * x))), rel=1e-12)
+
+
 @pytest.mark.parametrize("command, callee, args", [
     ("generate", "gen_mixture", ["--n", 10**14]),
     ("analyze", "envelope_spectrum", ["signal.csv", "--fs", 12800, "--nfft", 10**11]),
@@ -805,3 +899,102 @@ def test_console_entrypoint_help():
     )
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "bench-eta" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every command, with edge values in its flags, ends with a documented exit
+
+# values at the edges of every numeric and text flag
+EDGE = ["0", "-1", "1", "0.5", "1e-300", "5e-324", "1e300", "inf", "-inf", "nan", "",
+        "abc", "100000000"]
+# sizes are tiny, or so large that allocating them fails at once
+SIZES = ["0", "-1", "1", "2", "64", "abc", str(10**18)]
+SOLVE = {"--period1": EDGE, "--period2": EDGE, "--freq1": EDGE + ["6.25"],
+         "--freq2": EDGE + ["3.7"], "--fs": EDGE + ["100"], "--n1": EDGE + ["2", "1,2"],
+         "--m": EDGE + ["2", "1,3"], "--a0-fraction": EDGE + ["0.9"],
+         "--penalty": EDGE + ["log", "rat", "abs"], "--max-iter": ["0", "-1", "1", "abc"],
+         "--tol": EDGE + ["1e-3"]}
+# each command's flags for a run that succeeds, and the values each flag
+# may take instead: a valid alternative or an edge value
+FUZZ = {
+    "generate": ({"--n": "64", "--t1": "16", "--t2": "27"},
+                 {"--t1": EDGE + ["40"], "--t2": EDGE, "--n": SIZES, "--sigma": EDGE,
+                  "--seed": EDGE, "--transient-len": SIZES, "--jitter": EDGE + ["2"],
+                  "--modulation-freq": EDGE + ["6"], "--fs": EDGE + ["100"]}),
+    "extract": ({"--period1": "16", "--period2": "27", "--max-iter": "2"},
+                {**SOLVE, "--mode": EDGE + ["pogs"], "--eta": EDGE + ["0", "0.95"],
+                 "--lam": EDGE + ["0.2"]}),
+    "analyze": ({"--fs": "100"},
+                {"--fs": EDGE, "--band": [f"{lo} {hi}" for lo in EDGE for hi in EDGE + ["40"]],
+                 "--nfft": SIZES + ["512"], "--smooth-hz": EDGE + ["0.3"],
+                 "--n-harmonics": EDGE, "--tol-hz": EDGE, "--max-peaks": EDGE}),
+    "bench-eta": ({"--period1": "16", "--period2": "27", "--max-iter": "2"},
+                  {**SOLVE, "--etas": EDGE + ["0.2,0.8", "0.5,1e-300"]}),
+}
+# the inputs each command may be given, by name; missing.csv is never written
+FUZZ_INPUTS = {"generate": [None], "extract": ["signal", "components", "missing"],
+               "analyze": ["components", "signal", "huge", "missing"],
+               "bench-eta": ["signal", "components", "missing"]}
+
+
+@st.composite
+def cli_runs(draw):
+    """A command, its input (the first of its list half the time) and its
+    flags: those of a run that succeeds, with up to two of them changed."""
+    command = draw(st.sampled_from(list(FUZZ)))
+    inputs = FUZZ_INPUTS[command]
+    source = draw(st.one_of(st.just(inputs[0]), st.sampled_from(inputs)))
+    base, choices = FUZZ[command]
+    changed = draw(st.lists(st.sampled_from(list(choices)), max_size=2, unique=True))
+    return command, source, {**base, **{f: draw(st.sampled_from(choices[f])) for f in changed}}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    mix = gen_mixture(n_samples=256, t1=16, t2=27, seed=0)
+    index = np.arange(mix.y.size)
+    write_columns_csv(str(root / "signal.csv"),
+                      {"index": index, "y": mix.y, "x1_true": mix.x1, "x2_true": mix.x2})
+    write_columns_csv(str(root / "components.csv"), {"index": index, "x1": mix.x1, "x2": mix.x2})
+    # its squares overflow, and its rms must still come out finite
+    write_columns_csv(str(root / "huge.csv"), {"index": index, "x1": 1e160 * mix.x1})
+    return root
+
+
+@given(case=cli_runs())
+# regression cases: an unbounded harmonic search (also through a huge
+# tolerance), a numpy overflow warning at a tiny eta, an error blaming the
+# concavity for a subnormal eta, and an rms whose squares overflow
+@example(case=("analyze", "components", {"--fs": "100", "--n-harmonics": "100000000"}))
+@example(case=("analyze", "components", {"--fs": "100", "--n-harmonics": "100000000",
+                                         "--tol-hz": "100000000"}))
+@example(case=("extract", "signal", {"--period1": "16", "--period2": "27", "--max-iter": "2",
+                                     "--eta": "1e-300"}))
+@example(case=("extract", "signal", {"--period1": "16", "--period2": "27", "--max-iter": "2",
+                                     "--eta": "5e-324"}))
+@example(case=("bench-eta", "signal", {"--period1": "16", "--period2": "27", "--max-iter": "2",
+                                       "--etas": "1e-300"}))
+@example(case=("analyze", "huge", {"--fs": "100"}))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_fuzzed_flags_exit_with_a_documented_code(fuzz_inputs, case):
+    command, source, flags = case
+    argv = [command]
+    if source is not None:
+        argv.append(str(fuzz_inputs / f"{source}.csv"))
+    for flag, value in flags.items():
+        argv += [flag, *value.split(" ")] if flag == "--band" else [f"{flag}={value}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error")
+            code = exit_code([*argv, "--out", out])
+        assert code in (0, 2, 3, 4), argv
+        if code:
+            assert not os.path.exists(out), argv
+        else:
+            for name in os.listdir(out):
+                if name.endswith(".json"):
+                    with open(os.path.join(out, name), encoding="utf-8") as fh:
+                        strict_json(fh.read())

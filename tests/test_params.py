@@ -9,6 +9,7 @@ from rtea.params import (
     beta_lookup,
     build_weight_array,
     _choose_lambdas,
+    _config,
     default_config,
     estimate_sigma,
 )
@@ -223,3 +224,26 @@ class TestDefaultConfig:
         )
         for field in dataclasses.fields(SolverConfig):
             assert getattr(cfg, field.name) == getattr(expected, field.name), field.name
+
+    def test_default_config_is_config_at_the_estimate(self):
+        settings = (0.3, 0.7, "log", 50, 1e-6)
+        assert default_config(self.y, self.s1, self.s2, *settings) == _config(
+            estimate_sigma(self.y), self.s1, self.s2, *settings)
+
+    @pytest.mark.parametrize("eta", [1e-300, 1e-310, 5e-324])
+    def test_eta_too_small_for_a_concave_coupling(self, eta):
+        with pytest.raises(ValueError, match=f"^eta = {eta} is too small for a concave "
+                                             "coupling term: .*eta = 0 drops the coupling term$"):
+            default_config(self.y, self.s1, self.s2, eta=eta)
+
+    @pytest.mark.parametrize("eta", [1e-300, 1e-310, 5e-324])
+    @pytest.mark.parametrize("settings", [dict(a0_fraction=0.0), dict(family="abs")],
+                             ids=["a0-fraction-0", "abs"])
+    def test_convex_coupling_takes_any_eta(self, eta, settings):
+        cfg = default_config(self.y, self.s1, self.s2, eta=eta, **settings)
+        assert cfg.pen0 == PenaltySpec("abs")
+
+    def test_subnormal_a0_is_abs(self):
+        # the atan closed form divides by a0, which overflows when it is subnormal
+        cfg = default_config(self.y, self.s1, self.s2, a0_fraction=5e-324)
+        assert cfg.pen0 == PenaltySpec("abs") and cfg.lam0 > 0
