@@ -11,12 +11,15 @@ and every convolution with a mask goes through :meth:`WeightArray._convolve`.
 A mask is m+1 copies of an n1-sample box at stride ``period``, so each
 convolution is one length-n1 box convolution plus m+1 shifted slice-adds:
 O(N*(n1+m)) work instead of O(N*K), with every sum of nonnegative terms
-staying nonnegative.
+staying nonnegative.  The box kernel and the slices of those adds depend
+only on the mask, the input length and the output window, so
+:func:`_plan` builds them once per such key, not once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,16 +70,34 @@ class WeightArray:
         mask is a palindrome, so this is also its correlation with ``v``: for
         ``v = x*x`` entry i is the window sum at position ``i - (K-1)``.
         """
-        box = np.convolve(v, np.ones(self.n1))
         if size is None:
             size = v.size + len(self) - 1
+        kernel, adds = _plan(self.n1, self.n0, self.m, v.size, start, size)
+        box = np.convolve(v, kernel)
         out = np.zeros(size)
-        for k in range(self.m + 1):
-            shift = k * self.period - start  # out index of box[0]
-            lo, hi = max(0, -shift), min(box.size, size - shift)
-            if lo < hi:
-                out[lo + shift : hi + shift] += box[lo:hi]
+        for dst, src in adds:
+            out[dst] += box[src]
         return out
+
+
+# bounded: a solve uses at most 6 keys, and a long session cannot grow it
+@lru_cache(maxsize=64)
+def _plan(n1: int, n0: int, m: int, n: int, start: int, size: int):
+    """The plan of :meth:`WeightArray._convolve` for the mask ``(n1, n0, m)``
+    (its fields, which hash faster than the mask) and an ``n``-sample input:
+    the ones kernel of the box convolution and the ``(out slice, box slice)``
+    pairs of the nonempty shifted adds, in shift order, for entries
+    ``start .. start+size-1``."""
+    kernel = np.ones(n1)
+    kernel.flags.writeable = False
+    box_size = n + n1 - 1
+    adds = []
+    for k in range(m + 1):
+        shift = k * (n1 + n0) - start  # out index of box[0]
+        lo, hi = max(0, -shift), min(box_size, size - shift)
+        if lo < hi:
+            adds.append((slice(lo + shift, hi + shift), slice(lo, hi)))
+    return kernel, tuple(adds)
 
 
 def _check_mask(b, n: int) -> None:
@@ -112,16 +133,19 @@ def _as_signal(x, name: str = "signal", min_size: int = 1) -> np.ndarray:
 
 def _norms(b: WeightArray, x: np.ndarray, spec: PenaltySpec) -> np.ndarray:
     # smoothed window norms sqrt(S + eps) of x under b, for the term's cost and weights
-    return np.sqrt(b._convolve(x * x) + spec.eps)
+    s = b._convolve(x * x)
+    s += spec.eps
+    return np.sqrt(s, out=s)
 
 
 def _penalty(u: np.ndarray, spec: PenaltySpec) -> float:
-    return float(np.sum(_value_at(u, spec.a, spec.family)))
+    return float(_value_at(u, spec.a, spec.family).sum())
 
 
 def _weights(b: WeightArray, u: np.ndarray, n: int, spec: PenaltySpec) -> np.ndarray:
     # majorizer weights of the n-sample signal whose smoothed window norms under b are u
-    return b._convolve(1.0 / _denom_at(u, spec.a, spec.family), len(b) - 1, n)
+    last = b.m * (b.n1 + b.n0) + b.n1 - 1  # len(b) - 1 without a Python-level call
+    return b._convolve(1.0 / _denom_at(u, spec.a, spec.family), last, n)
 
 
 def group_penalty(x, b, spec: PenaltySpec) -> float:

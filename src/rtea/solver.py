@@ -255,12 +255,32 @@ def _objective(y: np.ndarray, groups, coupling):
 
     def update(all_norms, *xs):
         # the majorizer is separable per sample: one elementwise division per component
+        # in place, each product and sum the same IEEE operation as in
+        # t = 1 + lam0*w0, p = k*t + lam*w and q_i = y + t*(x_i - x_j).  q_j is
+        # not y - t*(x_i - x_j): where y holds -0.0 and x_i == x_j that is -0.0
         norms, u0 = all_norms
-        t = 1.0 if coupling is None else 1.0 + lam0 * _weights(b0, u0, n, pen0)
+        t = 1.0
+        if coupling is not None:
+            t = _weights(b0, u0, n, pen0)
+            t *= lam0
+            t += 1.0
         kt = len(xs) * t
-        ps = [kt + lam * _weights(b, u, n, pen) for u, (lam, b, pen) in zip(norms, groups)]
-        qs = (y,) if len(xs) == 1 else (y + t * (xs[0] - xs[1]), y + t * (xs[1] - xs[0]))
-        return [q / p for q, p in zip(qs, ps)]
+        ps = []
+        for u, (lam, b, pen) in zip(norms, groups):
+            p = _weights(b, u, n, pen)
+            p *= lam
+            p += kt
+            ps.append(p)
+        if len(xs) == 1:
+            qs = [y]
+        else:
+            qs = [xs[0] - xs[1], xs[1] - xs[0]]
+            for q in qs:
+                q *= t
+                q += y
+        for q, p in zip(qs, ps):
+            np.divide(q, p, out=p)
+        return ps
 
     return norms_and_cost, update
 

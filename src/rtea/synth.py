@@ -77,13 +77,8 @@ def _draw_transient(rng: np.random.Generator, train: TransientTrain) -> np.ndarr
     return g
 
 
-def gen_train(train: TransientTrain, n_samples: int) -> GeneratedTrain:
-    """Place independent transients at period multiples (plus jitter).
-
-    Transients that run past the end are truncated; with zero jitter and a
-    period longer than the transient they never overlap.  Samples outside
-    the ``transient_len`` windows that start at the onsets are exactly zero.
-    """
+def _check_train(train: TransientTrain, n_samples: int) -> None:
+    # the checks of gen_train, made before it allocates anything
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     t = train.period_samples
@@ -98,6 +93,17 @@ def gen_train(train: TransientTrain, n_samples: int) -> GeneratedTrain:
             f"modulation phase 2*pi*modulation_freq_hz*n/sample_rate_hz = "
             f"2*pi*{f}*{n_samples}/{train.sample_rate_hz} overflows"
         )
+
+
+def gen_train(train: TransientTrain, n_samples: int) -> GeneratedTrain:
+    """Place independent transients at period multiples (plus jitter).
+
+    Transients that run past the end are truncated; with zero jitter and a
+    period longer than the transient they never overlap.  Samples outside
+    the ``transient_len`` windows that start at the onsets are exactly zero.
+    """
+    _check_train(train, n_samples)
+    t = train.period_samples
     rng = np.random.default_rng(train.seed)
     clean = np.zeros(n_samples)
     onsets = []
@@ -157,16 +163,17 @@ def gen_mixture(
         jitter_pct=jitter_pct,
         sample_rate_hz=sample_rate_hz,
     )
-    g1 = gen_train(TransientTrain(period_samples=t1, seed=s1, **common), n_samples)
-    g2 = gen_train(
-        TransientTrain(
-            period_samples=t2,
-            seed=s2,
-            modulation_freq_hz=modulation_freq_hz,
-            **common,
-        ),
-        n_samples,
+    # both trains checked, in the order they are built, before either is placed
+    train1 = TransientTrain(period_samples=t1, seed=s1, **common)
+    _check_train(train1, n_samples)
+    train2 = TransientTrain(
+        period_samples=t2,
+        seed=s2,
+        modulation_freq_hz=modulation_freq_hz,
+        **common,
     )
+    _check_train(train2, n_samples)
+    g1, g2 = gen_train(train1, n_samples), gen_train(train2, n_samples)
     clean = g1.clean + g2.clean
     noise = np.random.default_rng(sn).normal(0.0, sigma, size=n_samples)
     y = clean + noise

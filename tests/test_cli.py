@@ -782,10 +782,13 @@ def test_record_lists_every_output(generated, tmp_path, case):
     ("generate", ["--modulation-freq", 1, "--fs", "5e-324"],
      "modulation phase 2*pi*modulation_freq_hz*n/sample_rate_hz = 2*pi*1.0*1024/5e-324 "
      "overflows"),
+    # train 2's period is checked before train 1 is allocated
+    ("generate", ["--n", 10**18, "--t2", "nan"],
+     "period_samples must be a finite positive real, got nan"),
 ], ids=["extract-freq-without-fs", "analyze-zero-harmonics", "extract-zero-n1",
         "extract-zero-m", "generate-zero-n", "analyze-subnormal-fs",
         "analyze-overflowing-smooth", "analyze-tolerance-past-the-spectrum",
-        "generate-overflowing-modulation"])
+        "generate-overflowing-modulation", "generate-huge-n-nan-t2"])
 def test_refusal_names_its_cause(generated, tmp_path, capsys, command, flags, cause):
     inputs = [] if command == "generate" else [generated / "signal.csv"]
     out = tmp_path / "x"
@@ -965,7 +968,8 @@ def fuzz_inputs(tmp_path_factory):
 @given(case=cli_runs())
 # regression cases: an unbounded harmonic search (also through a huge
 # tolerance), a numpy overflow warning at a tiny eta, an error blaming the
-# concavity for a subnormal eta, and an rms whose squares overflow
+# concavity for a subnormal eta, an rms whose squares overflow, and a bad
+# second period found only after allocating a huge first train
 @example(case=("analyze", "components", {"--fs": "100", "--n-harmonics": "100000000"}))
 @example(case=("analyze", "components", {"--fs": "100", "--n-harmonics": "100000000",
                                          "--tol-hz": "100000000"}))
@@ -976,6 +980,7 @@ def fuzz_inputs(tmp_path_factory):
 @example(case=("bench-eta", "signal", {"--period1": "16", "--period2": "27", "--max-iter": "2",
                                        "--etas": "1e-300"}))
 @example(case=("analyze", "huge", {"--fs": "100"}))
+@example(case=("generate", None, {"--n": "1000000000000000000", "--t1": "16", "--t2": "nan"}))
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_fuzzed_flags_exit_with_a_documented_code(fuzz_inputs, case):
     command, source, flags = case

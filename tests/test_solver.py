@@ -11,7 +11,7 @@ from rtea.params import (
     estimate_sigma,
 )
 from rtea.penalties import PenaltySpec
-from rtea.regularizers import WeightArray
+from rtea.regularizers import WeightArray, _plan
 from rtea.solver import (
     DecompositionResult,
     SolverConfig,
@@ -267,6 +267,18 @@ class TestSolve:
         np.testing.assert_array_equal(res.x2, res_s.x1)
         np.testing.assert_array_equal(res.cost_history, res_s.cost_history)
 
+    def test_swap_symmetry_keeps_signed_zeros(self):
+        # where y holds -0.0 the components start equal; each q_i = y +
+        # t*(x_i - x_j) is then +0.0, where y - t*(x_j - x_i) would give -0.0
+        mix = gen_mixture(n_samples=200, seed=10, sigma=0.5, t1=20, t2=33)
+        y = mix.y.copy()
+        y[::7] = -0.0
+        b1, b2 = WeightArray(2, 18, 2), WeightArray(3, 30, 2)
+        res = rtea_solve(y, small_config(b1=b1, b2=b2, lam1=0.15, lam2=0.3, max_iter=40))
+        res_s = rtea_solve(y, small_config(b1=b2, b2=b1, lam1=0.3, lam2=0.15, max_iter=40))
+        assert res.x1.tobytes() == res_s.x2.tobytes()
+        assert res.x2.tobytes() == res_s.x1.tobytes()
+
     def test_stationary_at_convergence(self):
         mix = gen_mixture(n_samples=64, seed=11, sigma=0.5, t1=16, t2=25, transient_len=6)
         cfg = small_config(
@@ -325,6 +337,52 @@ class TestSolve:
     def test_mask_longer_than_signal_rejected(self):
         with pytest.raises(ValueError, match="mask length 25 exceeds signal length 20"):
             rtea_solve(np.zeros(20), small_config())
+
+
+class TestMaskedSumPlans:
+    """Each masked sum's plan is built once per mask, input length and
+    output window, and whatever the cache holds leaves the results alone."""
+
+    def test_one_plan_per_mask_and_window(self):
+        mix = gen_mixture(n_samples=200, seed=30, sigma=0.5, t1=20, t2=33)
+        cfg = small_config(b1=WeightArray(2, 18, 2), b2=WeightArray(3, 30, 2), k0=3)
+        _plan.cache_clear()
+        rtea_solve(mix.y, cfg)
+        # window norms and weights for the coupling term and each component
+        assert _plan.cache_info().misses <= 6
+        built = _plan.cache_info().misses
+        rtea_solve(gen_mixture(n_samples=200, seed=31, sigma=0.5, t1=20, t2=33).y, cfg)
+        assert _plan.cache_info().misses == built
+
+    def test_cache_is_bounded(self):
+        b = WeightArray(2, 3, 2)
+        bound = _plan.cache_info().maxsize
+        assert bound is not None
+        for n in range(len(b), len(b) + bound + 10):
+            b._convolve(np.ones(n))
+        assert _plan.cache_info().currsize <= bound
+
+    def test_result_does_not_depend_on_earlier_solves(self):
+        mix = gen_mixture(n_samples=200, seed=32, sigma=0.5, t1=20, t2=33)
+        cfg = small_config(b1=WeightArray(2, 18, 2), b2=WeightArray(3, 30, 2), k0=3)
+
+        def others():
+            other = gen_mixture(n_samples=150, seed=33, sigma=0.5, t1=16, t2=27)
+            rtea_solve(other.y, small_config(max_iter=20))
+            pogs_solve(other.y, WeightArray(2, 14, 3), 0.3, ABS, max_iter=20)
+            pogs_solve(mix.y, WeightArray.ones(4), 0.3, ABS, max_iter=20)
+
+        _plan.cache_clear()
+        first = rtea_solve(mix.y, cfg)
+        others()
+        after = rtea_solve(mix.y, cfg)
+        _plan.cache_clear()
+        others()
+        cold_after = rtea_solve(mix.y, cfg)
+        for res in (after, cold_after):
+            for x, x_first in zip(res.xs, first.xs):
+                assert x.tobytes() == x_first.tobytes()
+            assert res.cost_history.tobytes() == first.cost_history.tobytes()
 
 
 class TestTimeReversal:
