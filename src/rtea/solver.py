@@ -239,6 +239,9 @@ def _objective(y: np.ndarray, groups, coupling):
         lam0, k0, pen0 = coupling
         b0 = WeightArray.ones(k0)
         _check_mask(b0, n)
+    # y with each -0.0 made +0.0: y_pos - t*(x0 - x1) is then y + t*(x1 - x0)
+    # bit for bit, also where x0 == x1 and y holds -0.0
+    y_pos = y + 0.0
 
     def norms_and_cost(*xs):
         both = xs[0] if len(xs) == 1 else xs[0] + xs[1]
@@ -256,8 +259,7 @@ def _objective(y: np.ndarray, groups, coupling):
     def update(all_norms, *xs):
         # the majorizer is separable per sample: one elementwise division per component
         # in place, each product and sum the same IEEE operation as in
-        # t = 1 + lam0*w0, p = k*t + lam*w and q_i = y + t*(x_i - x_j).  q_j is
-        # not y - t*(x_i - x_j): where y holds -0.0 and x_i == x_j that is -0.0
+        # t = 1 + lam0*w0, p = k*t + lam*w and q_i = y + t*(x_i - x_j)
         norms, u0 = all_norms
         t = 1.0
         if coupling is not None:
@@ -274,10 +276,11 @@ def _objective(y: np.ndarray, groups, coupling):
         if len(xs) == 1:
             qs = [y]
         else:
-            qs = [xs[0] - xs[1], xs[1] - xs[0]]
-            for q in qs:
-                q *= t
-                q += y
+            d = xs[0] - xs[1]
+            d *= t
+            q1 = y_pos - d
+            d += y
+            qs = [d, q1]
         for q, p in zip(qs, ps):
             np.divide(q, p, out=p)
         return ps
