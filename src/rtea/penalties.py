@@ -54,9 +54,12 @@ def _value_at(t, a, family):
         return np.log1p(a * t) / a
     if family == "rat":
         return t / (1.0 + 0.5 * a * t)
-    # atan
+    # atan: c*(arctan((1 + 2at)/sqrt(3)) - pi/6), as the one arctan that
+    # keeps its precision where a*t is small.  Past 2**60, 2 + at rounds to
+    # at, so the cap moves no value and keeps t = inf at the limit c*pi/3
     c = 2.0 / (a * np.sqrt(3.0))
-    return c * (np.arctan((1.0 + 2.0 * a * t) / np.sqrt(3.0)) - np.pi / 6.0)
+    at = np.minimum(a * t, 2.0**60)
+    return c * np.arctan(np.sqrt(3.0) * at / (2.0 + at))
 
 
 def _denom_at(t, a, family):

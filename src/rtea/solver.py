@@ -5,9 +5,9 @@ The objective couples a quadratic data term with three regularizers: a
 group penalty on the sum of the components (which may be non-convex within
 the convexity bound) and one periodic-mask group penalty per component.
 Each map evaluation minimizes a separable quadratic majorizer of the
-objective, and the loop extrapolates along its slow directions (SQUAREM)
-only where that does not raise the cost, so the cost is guaranteed
-nonincreasing.
+objective, and the loop extrapolates along its slow directions (SQUAREM,
+with an adaptive bound on the step length) only where that does not raise
+the cost, so the cost is guaranteed nonincreasing.
 
 The iteration exists once, in :func:`_mm`: it owns the acceleration, the
 cost history, the non-finite guard and the stop rule, and builds the one
@@ -155,16 +155,23 @@ class DecompositionResult:
 def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> DecompositionResult:
     """The one majorize-minimize loop of both solvers, from the start ``xs``,
     accelerated by safeguarded SQUAREM (Varadhan & Roland, Scand. J. Stat.
-    35, 2008, scheme S3).
+    35, 2008, scheme S3) with the adaptive step bound of the SQUAREM
+    package (Du & Varadhan, J. Stat. Softw. 92(7), 2020: ``step.max0 = 1``,
+    ``mstep = 4``).
 
     ``norms_and_cost(*xs)`` returns the smoothed window norms at the iterate
     and its cost; ``update(norms, *xs)`` minimizes the majorizer built from
     those norms and returns the next iterate, one map evaluation.  Each cycle
     takes two plain steps ``x -> x1 -> x2``, sets ``r = x1 - x``,
     ``v = x2 - x1 - r`` and ``alpha = min(-1, -||r|| / ||v||)`` (both norms
-    summed over the components), and takes one step from
-    ``x - 2*alpha*r + alpha**2 * v``; that step is kept only if its cost is
-    finite and no higher than cost(x2), so the cost never rises.
+    summed over the components), clamped at ``-step_max``, and takes one
+    step from ``x - 2*alpha*r + alpha**2 * v``; that step is kept only if
+    its cost is finite and no higher than cost(x2), so the cost never rises.
+    ``step_max`` starts at 1; a clamped step that is kept multiplies it by
+    4, and one that is rejected divides it by 4, but not below 1.  The
+    bound keeps an overshooting step from being retried at the same length
+    cycle after cycle, and it keeps the roundoff of two solves of one
+    problem (say, of ``y`` and of ``y`` reversed) from being amplified.
 
     ``max_iter`` and the result's ``iterations`` count map evaluations: a
     cycle is three, and one cut short by the budget ends on its plain
@@ -189,6 +196,7 @@ def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> Decompositi
         return xs, norms, done
 
     converged = False
+    step_max = 1.0
     while len(costs) <= max_iter:
         x0 = xs
         xs, norms, converged = plain(xs, norms)
@@ -205,6 +213,9 @@ def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> Decompositi
         sr = sum(_half_sq_norm(r) for r in rs)
         sv = sum(_half_sq_norm(v) for v in vs)
         alpha = -1.0 if sv == 0.0 else min(-1.0, -math.sqrt(sr / sv))
+        clamped = alpha < -step_max
+        if clamped:
+            alpha = -step_max
         # an overshooting extrapolation may overflow; its cost then fails the keep rule
         with np.errstate(all="ignore"):
             for x, r, v in zip(x0, rs, vs):
@@ -216,8 +227,12 @@ def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> Decompositi
             ext_norms, c = norms_and_cost(*ext)
         if np.isfinite(c) and c <= costs[-1]:
             xs, norms = ext, ext_norms
+            if clamped:
+                step_max *= 4.0
         else:
             c = costs[-1]
+            if clamped:
+                step_max = max(1.0, step_max / 4.0)
         costs.append(c)
     residual = y - xs[0] if len(xs) == 1 else y - xs[0] - xs[1]
     return DecompositionResult(tuple(xs), residual, np.asarray(costs), len(costs) - 1, converged)

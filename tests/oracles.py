@@ -137,14 +137,16 @@ def mm_step(y, x1, x2, cfg):
     return res.x1, res.x2, res.cost_history
 
 
-def squarem_cycle(y, x1, x2, cfg):
+def squarem_cycle(y, x1, x2, cfg, step_max):
     """One whole cycle of ``rtea_solve``'s loop from ``(x1, x2)``, rebuilt
     from three ``mm_step`` calls: two plain steps ``x -> a -> b``, then one
     step from ``x - 2*alpha*r + alpha**2 * v`` with ``r = a - x``,
     ``v = b - a - r`` and ``alpha = min(-1, -||r|| / ||v||)`` over both
-    components, kept only if its cost is finite and at most cost(b).
-    Returns the held iterate, the three costs the loop records and whether
-    the extrapolation was kept."""
+    components, clamped at ``-step_max``, kept only if its cost is finite
+    and at most cost(b).  A clamped step that is kept multiplies
+    ``step_max`` by 4; one that is rejected divides it by 4, but not below
+    1.  Returns the held iterate, the three costs the loop records, whether
+    the extrapolation was kept and the next cycle's ``step_max``."""
     a1, a2, (_, ca) = mm_step(y, x1, x2, cfg)
     b1, b2, (_, cb) = mm_step(y, a1, a2, cfg)
     rs = (a1 - x1, a2 - x2)
@@ -156,11 +158,13 @@ def squarem_cycle(y, x1, x2, cfg):
 
     sv = sq(vs[0]) + sq(vs[1])
     alpha = -1.0 if sv == 0.0 else min(-1.0, -math.sqrt((sq(rs[0]) + sq(rs[1])) / sv))
+    clamped = alpha < -step_max
+    alpha = max(alpha, -step_max)
     e1, e2 = (x + (-2.0 * alpha) * r + (alpha * alpha) * v for x, r, v in zip((x1, x2), rs, vs))
     e1, e2, (_, ce) = mm_step(y, e1, e2, cfg)
     if np.isfinite(ce) and ce <= cb:
-        return e1, e2, [ca, cb, ce], True
-    return b1, b2, [ca, cb, cb], False
+        return e1, e2, [ca, cb, ce], True, step_max * 4.0 if clamped else step_max
+    return b1, b2, [ca, cb, cb], False, max(1.0, step_max / 4.0) if clamped else step_max
 
 
 def mm_cost(y, x1, x2, cfg):

@@ -847,6 +847,19 @@ def test_tiny_eta_or_a0_runs(generated, tmp_path, command, flags):
         assert (config["penalty0"], config["a0"]) == ("abs", 0.0)
 
 
+def test_tiny_a0_fraction_ends_at_the_abs_cost(tmp_path):
+    # a0 = 1e-300 is the abs coupling to within rounding; the atan penalty's
+    # textbook closed form made it 8.07e286 "converged" after 1 evaluation
+    assert run(["generate", "--seed", 3, "--out", tmp_path / "g"]) == 0
+    costs = {}
+    for fraction in (0, 1e-300):
+        out = tmp_path / f"x{fraction}"
+        assert run(["extract", tmp_path / "g" / "signal.csv", "--period1", 32, "--period2", 53,
+                    "--a0-fraction", fraction, "--out", out]) == 0
+        costs[fraction] = json.loads((out / "manifest.json").read_text())["metrics"]["final_cost"]
+    assert costs[1e-300] == pytest.approx(costs[0], rel=1e-6)
+
+
 def test_rms_of_a_huge_component_is_finite(tmp_path):
     x = np.random.default_rng(0).normal(size=1024)
     write_columns_csv(str(tmp_path / "c.csv"), {"x1": 1e160 * x})

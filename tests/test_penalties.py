@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rtea.penalties import (
@@ -65,6 +65,32 @@ class TestPenaltyValues:
 
     def test_smoothed_at_zero_is_sqrt_eps(self):
         assert smoothed_penalty(0.0, PenaltySpec("abs", eps=1e-10)) == pytest.approx(1e-5)
+
+    @pytest.mark.parametrize("a", [1e-17, 1e-300])
+    def test_atan_keeps_precision_for_a_tiny_a(self, a):
+        # the arctan difference of the textbook form kept a rounding error of
+        # 1e-16, which 2/(a*sqrt(3)) turned into 12.8 (a = 1e-17) and 1.3e284
+        spec = PenaltySpec("atan", a=a)
+        assert smoothed_penalty(1.0, spec) == pytest.approx(math.sqrt(1.0 + spec.eps), rel=1e-12)
+
+    @given(a=st.floats(1e-6, 1e3), t=st.floats(0.0, 1e6))
+    @settings(max_examples=300, deadline=None)
+    def test_atan_matches_the_textbook_form(self, a, t):
+        # where a*t is not small, the textbook form keeps its precision too
+        assume(a * t >= 1e-3)
+        textbook = 2.0 / (a * math.sqrt(3.0)) * (
+            math.atan((1.0 + 2.0 * a * t) / math.sqrt(3.0)) - math.pi / 6.0
+        )
+        assert float(penalty(t, spec_of("atan", a=a))) == pytest.approx(textbook, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [1e-300, 0.7, 1e300])
+    def test_atan_limit_at_infinity(self, a):
+        # at t = inf the value is the limit c*pi/3, not inf/inf, and where
+        # a*t underflows it is 0 or near it; no warning either way
+        c = 2.0 / (a * math.sqrt(3.0))
+        vals = penalty(np.array([np.inf, 0.0, 5e-324]), spec_of("atan", a=a))
+        assert vals[0] == pytest.approx(c * math.pi / 3.0, rel=1e-15)
+        assert vals[1] == 0.0 and 0.0 <= vals[2] < 1e-320
 
     def test_denom_abs_at_zero(self):
         assert majorizer_denom(0.0, PenaltySpec("abs", eps=0.04)) == pytest.approx(0.2)

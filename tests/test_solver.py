@@ -229,23 +229,26 @@ class TestSolve:
 
     def test_solve_matches_manual_stepping_bitwise(self):
         # max_iter = k is k map evaluations: whole SQUAREM cycles of three,
-        # then the plain steps of a cycle the budget cuts short.  The start
-        # is four cycles in, where one cycle keeps its extrapolation and the
-        # next rejects it and holds its second plain step
+        # then the plain steps of a cycle the budget cuts short.  Each solve
+        # starts with the step bound at 1, as the oracle's window does.  The
+        # start is nine cycles in, where the window's three cycles are
+        # clamped and kept twice (bound 1 -> 4 -> 16), then clamped and
+        # rejected, holding the second plain step (16 -> 4)
         mix = gen_mixture(n_samples=200, seed=22, sigma=0.5, t1=20, t2=33)
         cfg = small_config(b1=WeightArray(2, 18, 2), b2=WeightArray(2, 31, 2), tol=1e-15)
-        start = (mix.y, mix.y)
-        for _ in range(4):
-            start = squarem_cycle(mix.y, *start, cfg)[:2]
-        kept = []
-        for k in range(1, 8):
+        start, step_max = (mix.y, mix.y), 1.0
+        for _ in range(9):
+            *start, _, _, step_max = squarem_cycle(mix.y, *start, cfg, step_max)
+        for k in range(1, 11):
             res = rtea_solve(mix.y, replace(cfg, max_iter=k), init=start)
             x1, x2 = start
             costs = [mm_cost(mix.y, x1, x2, cfg)]
+            kept, bounds = [], [1.0]
             for _ in range(k // 3):
-                x1, x2, cycle_costs, keep = squarem_cycle(mix.y, x1, x2, cfg)
+                x1, x2, cycle_costs, keep, bound = squarem_cycle(mix.y, x1, x2, cfg, bounds[-1])
                 costs += cycle_costs
                 kept.append(keep)
+                bounds.append(bound)
             for _ in range(k % 3):
                 x1, x2, (_, c) = mm_step(mix.y, x1, x2, cfg)
                 costs.append(c)
@@ -253,8 +256,19 @@ class TestSolve:
             np.testing.assert_array_equal(res.x1, x1)
             np.testing.assert_array_equal(res.x2, x2)
             np.testing.assert_array_equal(res.cost_history, np.asarray(costs))
-        # the runs of 6 and 7 evaluations each hold one kept and one rejected cycle
-        assert kept[-4:] == [True, False, True, False]
+        assert kept == [True, True, False]
+        assert bounds == [1.0, 4.0, 16.0, 4.0]
+
+    def test_evaluations_to_tol(self):
+        # the SQUAREM step bound: without it this solve took 793 evaluations,
+        # most of them extrapolations overshooting and rejected in streaks
+        mix = gen_mixture(n_samples=1024, t1=32, t2=53, sigma=0.5, seed=11)
+        cfg = default_config(
+            mix.y, PeriodSpec(period_samples=32), PeriodSpec(period_samples=53), max_iter=10**6
+        )
+        res = rtea_solve(mix.y, cfg)
+        assert res.converged and res.iterations <= 300
+        assert np.all(np.diff(res.cost_history) <= 0.0)
 
     def test_swap_symmetry_bitwise(self):
         mix = gen_mixture(n_samples=200, seed=10, sigma=0.5, t1=20, t2=33)
@@ -391,9 +405,9 @@ class TestTimeReversal:
         # every mask is a palindrome, so the objective is invariant under
         # time reversal and each map evaluation commutes with it.  A pogs
         # solve keeps that to roundoff; an rtea solve's extrapolations
-        # amplify the reversal roundoff (1e-8 relative on this record, at
-        # equal iteration counts), so rtea is held to one map evaluation,
-        # the step oracles.mm_step takes
+        # amplify the reversal roundoff (to 4e-12 relative on this record,
+        # see the whole-solve test below), so here rtea is held to one map
+        # evaluation, the step oracles.mm_step takes
         mix = gen_mixture(n_samples=1024, t1=32, t2=53, sigma=0.5, seed=7)
         spec1, spec2 = PeriodSpec(period_samples=32), PeriodSpec(period_samples=53)
 
@@ -408,6 +422,16 @@ class TestTimeReversal:
         for x, xr in zip(fwd.xs + (fwd.residual,), rev.xs + (rev.residual,)):
             assert np.max(np.abs(xr[::-1] - x)) <= 1e-12 * np.max(np.abs(x))
         assert rev.iterations == fwd.iterations
+
+    def test_whole_rtea_solve_commutes_with_reversal(self):
+        # the bounded SQUAREM step keeps the reversal roundoff from growing:
+        # an unbounded step (alpha reaching -84) ended these solves 1e-8 apart
+        mix = gen_mixture(n_samples=1024, t1=32, t2=53, sigma=0.5, seed=7)
+        spec1, spec2 = PeriodSpec(period_samples=32), PeriodSpec(period_samples=53)
+        fwd, rev = (rtea_solve(y, default_config(y, spec1, spec2)) for y in (mix.y, mix.y[::-1]))
+        assert rev.iterations == fwd.iterations
+        for x, xr in zip(fwd.xs + (fwd.residual,), rev.xs + (rev.residual,)):
+            assert np.max(np.abs(xr[::-1] - x)) <= 1e-10 * np.max(np.abs(x))
 
 
 class TestModeReductions:
