@@ -20,14 +20,7 @@ import numpy as np
 from . import fileio
 from .analysis import _rms, envelope_spectrum, find_peaks, rmse
 from .penalties import FAMILIES, PenaltySpec
-from .params import (
-    PeriodSpec,
-    _config,
-    _lambda_scale,
-    beta_lookup,
-    build_weight_array,
-    estimate_sigma,
-)
+from .params import PeriodSpec, _config, _pogs_lam, build_weight_array, estimate_sigma
 from .regularizers import _as_signal
 from .solver import NumericalError, check_convexity, pogs_solve, rtea_solve
 from .synth import gen_mixture
@@ -174,9 +167,10 @@ def _solver_config(sigma, args, specs, eta):
 
 def _column(path, cols, name):
     """Column ``name`` of the CSV at ``path``, through the package's signal
-    check, which every column the CLI computes on passes."""
+    check, which every column the CLI computes on passes.  Every command
+    needs two samples: the noise estimate and the spectrum do."""
     try:
-        return _as_signal(cols[name], name)
+        return _as_signal(cols[name], name, min_size=2)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -221,15 +215,12 @@ def cmd_extract(args) -> int:
     if args.mode == "pogs":
         (spec1,) = specs
         b = build_weight_array(spec1)
-        lam = args.lam
-        if lam is None:
-            lam = beta_lookup(spec1.n1, spec1.m) * _lambda_scale(sigma)
-        result = pogs_solve(
-            y, b, lam, PenaltySpec(family=args.penalty, a=0.0),
-            max_iter=args.max_iter, tol=args.tol,
-        )
+        lam = _pogs_lam(sigma, spec1) if args.lam is None else args.lam
+        # its one penalty has a = 0, where every family is abs
+        pen = PenaltySpec()
+        result = pogs_solve(y, b, lam, pen, max_iter=args.max_iter, tol=args.tol)
         notes = [f"lambda = {lam:.6g}"]
-        manifest["config"] = {"lam": lam, "b": _mask_snapshot(b)}
+        manifest["config"] = {"lam": lam, "penalty": pen.family, "b": _mask_snapshot(b)}
     else:
         if args.eta >= 0.9:
             print(
@@ -375,9 +366,12 @@ def cmd_bench_eta(args) -> int:
     sigma = estimate_sigma(y)
     x1t, x2t = truth[1], truth[2]
     rows = {"eta": [], "rmse_x1": [], "rmse_x2": [], "rmse_sum": []}
+    iterations, converged = [], []
     for eta in args.etas:
         res = rtea_solve(y, _solver_config(sigma, args, specs, eta))
         _warn_unconverged(res, args, f"eta = {eta}: ")
+        iterations.append(res.iterations)
+        converged.append(res.converged)
         rows["eta"].append(eta)
         rows["rmse_x1"].append(rmse(res.x1, x1t))
         rows["rmse_x2"].append(rmse(res.x2, x2t))
@@ -392,6 +386,8 @@ def cmd_bench_eta(args) -> int:
     _write_record(
         args.out, "eta_sweep.json", "bench-eta", input=source,
         etas=args.etas,
+        iterations=iterations,
+        converged=converged,
         **{name: getattr(args, name) for name in SETTINGS},
         periods=[_period_snapshot(spec) for spec in specs],
         outputs=outputs,

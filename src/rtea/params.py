@@ -114,12 +114,16 @@ def _choose_lambdas(
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    sigma = _lambda_scale(sigma)
     lam0 = eta * beta0 * sigma
     lam1 = 0.5 * (1.0 - eta) * beta1 * sigma
     lam2 = 0.5 * (1.0 - eta) * beta2 * sigma
     return lam0, lam1, lam2
+
+
+def _pogs_lam(sigma: float, spec: PeriodSpec) -> float:
+    """The weight of the single-component (pogs) solve: ``beta(n1, m)*sigma``."""
+    return beta_lookup(spec.n1, spec.m) * _lambda_scale(sigma)
 
 
 def estimate_sigma(y) -> float:
@@ -171,7 +175,6 @@ def _config(sigma, spec1, spec2, eta, a0_fraction, family, max_iter, tol) -> Sol
     beta0 = beta_lookup(k0, 1)
     beta1 = beta_lookup(spec1.n1, spec1.m)
     beta2 = beta_lookup(spec2.n1, spec2.m)
-    sigma = _lambda_scale(sigma)
     lam0, lam1, lam2 = _choose_lambdas(eta, beta0, beta1, beta2, sigma)
     a0 = 0.0
     if lam0 > 0 and a0_fraction > 0 and family != "abs":

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from rtea.cli import main
 from rtea.fileio import read_columns_csv, write_columns_csv
-from rtea.params import estimate_sigma
+from rtea.params import PeriodSpec, default_config, estimate_sigma
+from rtea.penalties import FAMILIES
+from rtea.solver import rtea_solve
 from rtea.synth import gen_mixture
 
 
@@ -163,6 +165,20 @@ class TestExtract:
         metrics = json.loads((out / "manifest.json").read_text())["metrics"]
         assert metrics["rmse_x1"] < metrics["baseline_rmse_y_x1"]
         assert "rmse_x2" not in metrics and "baseline_rmse_y_x2" not in metrics
+
+    def test_pogs_penalty_changes_no_output(self, generated, tmp_path):
+        # the one pogs penalty has a = 0, where every family is abs
+        outputs = {}
+        for family in (None, *FAMILIES):
+            out = tmp_path / str(family)
+            flags = [] if family is None else ["--penalty", family]
+            assert run(["extract", generated / "signal.csv", "--mode", "pogs",
+                        "--period1", 32, *flags, "--out", out]) == 0
+            outputs[family] = [read_bytes(out / f) for f in ("components.csv", "cost.csv")]
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["penalty"] == "abs"
+            assert manifest["settings"]["penalty"] == (family or "atan")
+        assert all(files == outputs[None] for files in outputs.values())
 
     @pytest.mark.parametrize("mode, kept", [("pogs", 1), ("rtea", 1), ("rtea", 2)])
     def test_one_truth_column_gets_its_metrics(self, generated, tmp_path, mode, kept):
@@ -710,10 +726,19 @@ class TestBenchEta:
         out_gen = tmp_path / "gen"
         assert run(["generate", "--n", 512, "--seed", 4, "--out", out_gen]) == 0
         out = tmp_path / "sweep"
+        etas = [0.5, 0.1, 0.2]
         assert run(["bench-eta", out_gen / "signal.csv", "--period1", 32, "--period2", 53,
-                    "--max-iter", 1, "--penalty", "log", "--tol", 0.1, "--out", out]) == 0
+                    "--etas", ",".join(map(str, etas)), "--max-iter", 3, "--penalty", "log",
+                    "--tol", 0.1, "--out", out]) == 0
         record = json.loads((out / "eta_sweep.json").read_text())
-        assert (record["penalty"], record["max_iter"], record["tol"]) == ("log", 1, 0.1)
+        assert (record["penalty"], record["max_iter"], record["tol"]) == ("log", 3, 0.1)
+        # each eta's map evaluations and whether it converged, in --etas order
+        y = read_columns_csv(str(out_gen / "signal.csv"))["y"]
+        specs = [PeriodSpec(period_samples=t) for t in (32, 53)]
+        solves = [rtea_solve(y, default_config(y, *specs, eta, 0.5, "log", 3, 0.1))
+                  for eta in etas]
+        assert record["iterations"] == [res.iterations for res in solves]
+        assert record["converged"] == [res.converged for res in solves] == [False, True, True]
 
     def test_requires_truth(self, tmp_path):
         n = 128
@@ -766,34 +791,52 @@ def test_record_lists_every_output(generated, tmp_path, case):
     assert sorted(os.listdir(out)) == sorted([name, *map(os.path.basename, paths)])
 
 
-@pytest.mark.parametrize("command, flags, cause", [
-    ("extract", ["--freq1", 57.8, "--freq2", 43.3],
+# a one-row CSV: each command reads y, or x1 first where it analyzes components
+ONE_ROW = "y,x1\n1.0,1.0\n"
+
+
+@pytest.mark.parametrize("command, text, flags, cause", [
+    ("extract", None, ["--freq1", 57.8, "--freq2", 43.3],
      "--fs (sample rate) is required with fault frequencies"),
-    ("analyze", ["--fs", 12800, "--n-harmonics", 0], "n_harmonics must be >= 1, got 0"),
-    ("extract", ["--period1", 32, "--period2", 53, "--n1", 0], "n1 must be >= 1, got 0"),
-    ("extract", ["--period1", 32, "--period2", 53, "--m", 0], "m must be >= 1, got 0"),
-    ("generate", ["--n", 0], "n_samples must be >= 1, got 0"),
+    ("analyze", None, ["--fs", 12800, "--n-harmonics", 0], "n_harmonics must be >= 1, got 0"),
+    ("extract", None, ["--period1", 32, "--period2", 53, "--n1", 0], "n1 must be >= 1, got 0"),
+    ("extract", None, ["--period1", 32, "--period2", 53, "--m", 0], "m must be >= 1, got 0"),
+    ("generate", None, ["--n", 0], "n_samples must be >= 1, got 0"),
     # found by the fuzz test below
-    ("analyze", ["--fs", "5e-324"], "resolution fs / nfft = 5e-324 / 1024 underflows to 0"),
-    ("analyze", ["--fs", "1e-300", "--smooth-hz", "1e300"],
+    ("analyze", None, ["--fs", "5e-324"], "resolution fs / nfft = 5e-324 / 1024 underflows to 0"),
+    ("analyze", None, ["--fs", "1e-300", "--smooth-hz", "1e300"],
      "smooth_hz = 1e+300 spans a inf-bin smoothing kernel, wider than the 513-bin spectrum"),
-    ("analyze", ["--fs", 12800, "--n-harmonics", 10**8, "--tol-hz", 10**8],
+    ("analyze", None, ["--fs", 12800, "--n-harmonics", 10**8, "--tol-hz", 10**8],
      "tol_hz = 100000000.0 is not below the top of the spectrum, 6400.0 Hz"),
-    ("generate", ["--modulation-freq", 1, "--fs", "5e-324"],
+    ("generate", None, ["--modulation-freq", 1, "--fs", "5e-324"],
      "modulation phase 2*pi*modulation_freq_hz*n/sample_rate_hz = 2*pi*1.0*1024/5e-324 "
      "overflows"),
     # train 2's period is checked before train 1 is allocated
-    ("generate", ["--n", 10**18, "--t2", "nan"],
+    ("generate", None, ["--n", 10**18, "--t2", "nan"],
      "period_samples must be a finite positive real, got nan"),
+    # the noise estimate and the spectrum need two samples; the error names the file
+    ("analyze", ONE_ROW, ["--fs", 12800], "{input}: x1 needs at least 2 samples, got 1"),
+    ("extract", ONE_ROW, ["--period1", 32, "--period2", 53],
+     "{input}: y needs at least 2 samples, got 1"),
+    ("extract", ONE_ROW, ["--mode", "pogs", "--period1", 32],
+     "{input}: y needs at least 2 samples, got 1"),
+    ("bench-eta", ONE_ROW, ["--period1", 32, "--period2", 53],
+     "{input}: y needs at least 2 samples, got 1"),
 ], ids=["extract-freq-without-fs", "analyze-zero-harmonics", "extract-zero-n1",
         "extract-zero-m", "generate-zero-n", "analyze-subnormal-fs",
         "analyze-overflowing-smooth", "analyze-tolerance-past-the-spectrum",
-        "generate-overflowing-modulation", "generate-huge-n-nan-t2"])
-def test_refusal_names_its_cause(generated, tmp_path, capsys, command, flags, cause):
-    inputs = [] if command == "generate" else [generated / "signal.csv"]
+        "generate-overflowing-modulation", "generate-huge-n-nan-t2", "analyze-one-row",
+        "extract-one-row", "extract-pogs-one-row", "bench-eta-one-row"])
+def test_refusal_names_its_cause(generated, tmp_path, capsys, command, text, flags, cause):
+    # the input is the CSV ``text``, if given, else the generated signal
+    source = generated / "signal.csv"
+    if text is not None:
+        source = tmp_path / "input.csv"
+        source.write_text(text)
+    inputs = [] if command == "generate" else [source]
     out = tmp_path / "x"
     assert run([command, *inputs, *flags, "--out", out]) == 2
-    assert capsys.readouterr().err == f"error: {cause}\n"
+    assert capsys.readouterr().err == f"error: {cause.format(input=source)}\n"
     assert not out.exists()
 
 

@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtea.fileio import read_columns_csv, write_columns_csv
+from rtea.fileio import _atomic_write_text, read_columns_csv, write_columns_csv
 
 from oracles import csv_rowwise
 
@@ -55,3 +58,18 @@ class TestColumnWriter:
             want = a.astype(float)
             assert back[name].dtype == np.float64
             np.testing.assert_array_equal(back[name].view(np.uint64), want.view(np.uint64))
+
+    def test_unequal_lengths_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=r"^columns have unequal lengths: \[2, 3\]$"):
+            write_columns_csv(str(path), {"a": np.zeros(3), "b": np.zeros(2)})
+        assert not path.exists()
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    # a lone surrogate cannot be encoded, so the write fails after the temp
+    # file is made; neither it nor the target is left behind
+    path = tmp_path / "t.csv"
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write_text(str(path), "y\n\ud800\n")
+    assert os.listdir(tmp_path) == []

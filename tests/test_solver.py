@@ -72,6 +72,14 @@ class TestCheckConvexity:
         with pytest.raises(ValueError):
             check_convexity(3, 0.0, 0.1)
 
+    @pytest.mark.parametrize("k0, a0, cause", [
+        (0, 0.1, "group size k0 must be >= 1, got 0"),
+        (3, -0.1, "concavity parameter a0 must be >= 0, got -0.1"),
+    ], ids=["k0-0", "negative-a0"])
+    def test_invalid_group_size_or_concavity(self, k0, a0, cause):
+        with pytest.raises(ValueError, match=f"^{cause}$"):
+            check_convexity(k0, 0.5, a0)
+
 
 class TestConfigValidation:
     def test_guard_rejects_a0_above_bound(self):
@@ -91,6 +99,10 @@ class TestConfigValidation:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             small_config(lam1=-0.1)
+
+    def test_zero_group_size_rejected(self):
+        with pytest.raises(ValueError, match="^group size k0 must be >= 1, got 0$"):
+            small_config(k0=0)
 
     def test_dense_mask_rejected(self):
         with pytest.raises(TypeError):
