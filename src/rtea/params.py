@@ -126,11 +126,17 @@ def _pogs_lam(sigma: float, spec: PeriodSpec) -> float:
     return beta_lookup(spec.n1, spec.m) * _lambda_scale(sigma)
 
 
+def _median(a: np.ndarray) -> float:
+    # np.median's own steps, a partition and the mean of the middle one or
+    # two values, without the numpy.ma import np.median makes on first call
+    k, j = (a.size - 1) // 2, a.size // 2
+    return float(np.partition(a, [k, j])[k : j + 1].mean())
+
+
 def estimate_sigma(y) -> float:
     """Robust noise level: median absolute deviation scaled for Gaussians."""
     y = _as_signal(y, "observation", min_size=2)
-    mad = float(np.median(np.abs(y - np.median(y))))
-    return mad * MAD_TO_SIGMA
+    return _median(np.abs(y - _median(y))) * MAD_TO_SIGMA
 
 
 def _lambda_scale(sigma: float) -> float:

@@ -11,7 +11,10 @@ the cost, so the cost is guaranteed nonincreasing.
 
 The iteration exists once, in :func:`_mm`: it owns the acceleration, the
 cost history, the non-finite guard and the stop rule, and builds the one
-result type.  The objective exists once, in :func:`_objective`, which
+result type.  Its one numerical rule: every cost it records, the start's
+included, must be finite, or it raises :class:`NumericalError` (the CLI's
+exit 3); a non-finite extrapolation is rejected, and the loop emits no numpy
+warnings.  The objective exists once, in :func:`_objective`, which
 builds the pair of closures the loop calls:
 ``norms_and_cost`` evaluates each term's smoothed window norms and the cost
 at an iterate, and ``update`` turns those same norms into majorizer weights
@@ -71,7 +74,7 @@ def _check_run(max_iter: int, tol: float, pens, **lams: float) -> None:
                 "only the coupling penalty may be non-convex"
             )
     for name, v in lams.items():
-        if not np.isfinite(v) or v < 0:
+        if not 0 <= v < np.inf:
             raise ValueError(f"{name} must be a finite nonnegative real, got {v}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -166,7 +169,8 @@ def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> Decompositi
     ``v = x2 - x1 - r`` and ``alpha = min(-1, -||r|| / ||v||)`` (both norms
     summed over the components), clamped at ``-step_max``, and takes one
     step from ``x - 2*alpha*r + alpha**2 * v``; that step is kept only if
-    its cost is finite and no higher than cost(x2), so the cost never rises.
+    its cost is no higher than cost(x2), so the cost never rises and a
+    non-finite extrapolation (NaN or inf fails that test) is rejected.
     ``step_max`` starts at 1; a clamped step that is kept multiplies it by
     4, and one that is rejected divides it by 4, but not below 1.  The
     bound keeps an overshooting step from being retried at the same length
@@ -178,46 +182,50 @@ def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> Decompositi
     steps.  ``cost_history[k]`` is the cost of the iterate held after k
     evaluations (a rejected extrapolation repeats cost(x2)).  The loop stops
     when a plain step changes the cost by less than ``tol`` relative to
-    ``max(cost, 1)``, and raises :class:`NumericalError` when a plain step's
-    cost is non-finite.  The result's residual is ``y`` minus the
+    ``max(cost, 1)``.
+
+    One numerical rule holds: every cost the loop records, the start's
+    included, must be finite, or it raises :class:`NumericalError` naming
+    the iteration.  The whole loop ignores numpy's floating-point errors,
+    so it emits no numpy warnings: an overflow either rounds to its correct
+    limit (an infinite majorizer denominator gives a weight of 0) or shows
+    up as a non-finite cost.  The result's residual is ``y`` minus the
     components, subtracted in order.
     """
-    norms, c = norms_and_cost(*xs)
-    costs = [c]
+    costs = []
 
-    def plain(xs, norms):
-        # one recorded map evaluation, and whether the stop rule holds after it
-        xs = update(norms, *xs)
+    def evaluate(xs):
+        # the cost of an iterate, recorded, and whether the stop rule holds after it
         norms, c = norms_and_cost(*xs)
         if not np.isfinite(c):
             raise NumericalError(f"cost became non-finite at iteration {len(costs)}")
-        done = abs(costs[-1] - c) / max(c, 1.0) < tol
+        done = bool(costs) and abs(costs[-1] - c) / max(c, 1.0) < tol
         costs.append(c)
         return xs, norms, done
 
-    converged = False
     step_max = 1.0
-    while len(costs) <= max_iter:
-        x0 = xs
-        xs, norms, converged = plain(xs, norms)
-        if converged or len(costs) > max_iter:
-            break
-        x1 = xs
-        xs, norms, converged = plain(xs, norms)
-        if converged or len(costs) > max_iter:
-            break
-        rs = [a - b for a, b in zip(x1, x0)]
-        vs = [a - b for a, b in zip(xs, x1)]
-        for v, r in zip(vs, rs):
-            v -= r
-        sr = sum(_half_sq_norm(r) for r in rs)
-        sv = sum(_half_sq_norm(v) for v in vs)
-        alpha = -1.0 if sv == 0.0 else min(-1.0, -math.sqrt(sr / sv))
-        clamped = alpha < -step_max
-        if clamped:
-            alpha = -step_max
-        # an overshooting extrapolation may overflow; its cost then fails the keep rule
-        with np.errstate(all="ignore"):
+    # an overflow rounds to its limit or shows as a non-finite cost, never as a warning
+    with np.errstate(all="ignore"):
+        xs, norms, converged = evaluate(xs)
+        while len(costs) <= max_iter:
+            x0 = xs
+            xs, norms, converged = evaluate(update(norms, *xs))
+            if converged or len(costs) > max_iter:
+                break
+            x1 = xs
+            xs, norms, converged = evaluate(update(norms, *xs))
+            if converged or len(costs) > max_iter:
+                break
+            rs = [a - b for a, b in zip(x1, x0)]
+            vs = [a - b for a, b in zip(xs, x1)]
+            for v, r in zip(vs, rs):
+                v -= r
+            sr = sum(_half_sq_norm(r) for r in rs)
+            sv = sum(_half_sq_norm(v) for v in vs)
+            alpha = -1.0 if sv == 0.0 else min(-1.0, -math.sqrt(sr / sv))
+            clamped = alpha < -step_max
+            if clamped:
+                alpha = -step_max
             for x, r, v in zip(x0, rs, vs):
                 r *= -2.0 * alpha
                 r += x
@@ -225,15 +233,16 @@ def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> Decompositi
                 r += v
             ext = update(norms_and_cost(*rs)[0], *rs)
             ext_norms, c = norms_and_cost(*ext)
-        if np.isfinite(c) and c <= costs[-1]:
-            xs, norms = ext, ext_norms
-            if clamped:
-                step_max *= 4.0
-        else:
-            c = costs[-1]
-            if clamped:
-                step_max = max(1.0, step_max / 4.0)
-        costs.append(c)
+            # no NaN or inf passes, as every recorded cost is finite
+            if c <= costs[-1]:
+                xs, norms = ext, ext_norms
+                if clamped:
+                    step_max *= 4.0
+            else:
+                c = costs[-1]
+                if clamped:
+                    step_max = max(1.0, step_max / 4.0)
+            costs.append(c)
     residual = y - xs[0] if len(xs) == 1 else y - xs[0] - xs[1]
     return DecompositionResult(tuple(xs), residual, np.asarray(costs), len(costs) - 1, converged)
 

@@ -100,3 +100,24 @@ def test_cold_import_leaves_scipy_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == ""
+
+
+def test_cold_extract_leaves_numpy_ma_out(tmp_path):
+    # np.median imports numpy.ma on its first call; the noise estimate does not
+    from rtea.fileio import write_columns_csv
+    from rtea.synth import gen_mixture
+
+    write_columns_csv(str(tmp_path / "signal.csv"), {"y": gen_mixture(n_samples=256).y})
+    env = dict(os.environ, PYTHONPATH=str(Path(rtea.__file__).resolve().parent.parent))
+    code = (
+        "import sys\n"
+        "from rtea.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, *(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
+    )
+    args = ["extract", str(tmp_path / "signal.csv"), "--period1", "32", "--period2", "53",
+            "--out", str(tmp_path / "out")]
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "0"

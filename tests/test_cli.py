@@ -281,7 +281,6 @@ class TestExtract:
         assert run(["extract", tmp_path / "nope.csv", "--period1", 32,
                     "--period2", 53, "--out", tmp_path / "x"]) == 4
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("mode", ["rtea", "mca", "pogs"])
     def test_overflowing_input_is_numerical_failure(self, tmp_path, capsys, mode):
         n = 256
@@ -290,6 +289,41 @@ class TestExtract:
         assert run(["extract", tmp_path / "huge.csv", *MODE_FLAGS[mode], "--period1", 16,
                     "--period2", 25, "--out", tmp_path / "x"]) == 3
         assert "cost became non-finite" in capsys.readouterr().err
+
+    def test_overflowing_start_cost_is_numerical_failure(self, tmp_path, capsys):
+        # lam * P(y) overflows at the start x = y, before any map evaluation
+        assert run(["generate", "--n", 512, "--seed", 4, "--out", tmp_path / "gen"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["extract", tmp_path / "gen" / "signal.csv", "--mode", "pogs",
+                        "--period1", 32, "--lam", "1e308", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 3 and not caught and "Warning" not in err
+        assert "cost became non-finite at iteration 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["rtea", "mca", "pogs"])
+    def test_reversed_input_gives_reversed_components(self, tmp_path, mode):
+        # every mask is a palindrome and the median is order-free, so the
+        # reversed record has the same weights and a reversed optimum
+        y = gen_mixture(n_samples=1024, t1=32, t2=53, seed=7).y
+        runs = []
+        for name, signal in (("fwd", y), ("rev", y[::-1])):
+            write_columns_csv(str(tmp_path / f"{name}.csv"), {"y": signal})
+            out = tmp_path / name
+            assert run(["extract", tmp_path / f"{name}.csv", *MODE_FLAGS[mode],
+                        "--period1", 32, "--period2", 53, "--out", out]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            runs.append((read_columns_csv(str(out / "components.csv")), manifest))
+        (fwd, fwd_record), (rev, rev_record) = runs
+        assert rev_record["metrics"]["iterations"] == fwd_record["metrics"]["iterations"]
+        names = [c for c in fwd if c != "index"]
+        assert names == (["x1", "residual"] if mode == "pogs" else ["x1", "x2", "residual"])
+        for c in names:
+            x = fwd[c]
+            assert np.max(np.abs(rev[c][::-1] - x)) <= 1e-10 * np.max(np.abs(x)), c
 
     @pytest.mark.parametrize("mode", ["rtea", "mca", "pogs"])
     def test_zero_noise_estimate_is_usage_error(self, tmp_path, capsys, mode):
@@ -982,7 +1016,7 @@ FUZZ = {
                   "--modulation-freq": EDGE + ["6"], "--fs": EDGE + ["100"]}),
     "extract": ({"--period1": "16", "--period2": "27", "--max-iter": "2"},
                 {**SOLVE, "--mode": EDGE + ["pogs"], "--eta": EDGE + ["0", "0.95"],
-                 "--lam": EDGE + ["0.2"]}),
+                 "--lam": EDGE + ["0.2", "1e308"]}),
     "analyze": ({"--fs": "100"},
                 {"--fs": EDGE, "--band": [f"{lo} {hi}" for lo in EDGE for hi in EDGE + ["40"]],
                  "--nfft": SIZES + ["512"], "--smooth-hz": EDGE + ["0.3"],
@@ -1024,8 +1058,9 @@ def fuzz_inputs(tmp_path_factory):
 @given(case=cli_runs())
 # regression cases: an unbounded harmonic search (also through a huge
 # tolerance), a numpy overflow warning at a tiny eta, an error blaming the
-# concavity for a subnormal eta, an rms whose squares overflow, and a bad
-# second period found only after allocating a huge first train
+# concavity for a subnormal eta, an rms whose squares overflow, a bad
+# second period found only after allocating a huge first train, and a pogs
+# weight whose start cost overflows
 @example(case=("analyze", "components", {"--fs": "100", "--n-harmonics": "100000000"}))
 @example(case=("analyze", "components", {"--fs": "100", "--n-harmonics": "100000000",
                                          "--tol-hz": "100000000"}))
@@ -1037,6 +1072,8 @@ def fuzz_inputs(tmp_path_factory):
                                        "--etas": "1e-300"}))
 @example(case=("analyze", "huge", {"--fs": "100"}))
 @example(case=("generate", None, {"--n": "1000000000000000000", "--t1": "16", "--t2": "nan"}))
+@example(case=("extract", "signal", {"--mode": "pogs", "--period1": "16", "--period2": "27",
+                                     "--max-iter": "2", "--lam": "1e308"}))
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_fuzzed_flags_exit_with_a_documented_code(fuzz_inputs, case):
     command, source, flags = case

@@ -5,6 +5,7 @@ import pytest
 
 from rtea.params import (
     BETA_TABLE,
+    MAD_TO_SIGMA,
     PeriodSpec,
     beta_lookup,
     build_weight_array,
@@ -163,6 +164,15 @@ class TestEstimateSigma:
             estimate_sigma([])
         with pytest.raises(ValueError):
             estimate_sigma([1.0])
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 49, 256, 1025])
+    def test_bitwise_equal_to_numpy_median(self, n):
+        # the partition median takes np.median's steps without importing numpy.ma
+        rng = np.random.default_rng(n)
+        ties = rng.choice([-0.0, 0.0, 1.0, -2.5], size=n)
+        for y in (rng.normal(size=n), ties, np.full(n, -0.0)):
+            expected = float(np.median(np.abs(y - np.median(y)))) * MAD_TO_SIGMA
+            assert estimate_sigma(y).hex() == expected.hex()
 
 
 class TestDefaultConfig:

@@ -14,6 +14,7 @@ from rtea.penalties import PenaltySpec
 from rtea.regularizers import WeightArray, _plan
 from rtea.solver import (
     DecompositionResult,
+    NumericalError,
     SolverConfig,
     check_convexity,
     pogs_solve,
@@ -363,6 +364,21 @@ class TestSolve:
     def test_mask_longer_than_signal_rejected(self):
         with pytest.raises(ValueError, match="mask length 25 exceeds signal length 20"):
             rtea_solve(np.zeros(20), small_config())
+
+
+class TestNumericalRule:
+    # every recorded cost must be finite, the start's included; tier-1 makes
+    # every warning an error, so an overflow warning would fail these too
+    def test_overflowing_start_cost_raises(self):
+        y = 1e200 * gen_mixture(n_samples=128, seed=6, t1=20, t2=33).y
+        cfg = small_config(b1=WeightArray(2, 18, 2), b2=WeightArray(2, 31, 2))
+        with pytest.raises(NumericalError, match="non-finite at iteration 0$"):
+            rtea_solve(y, cfg)
+
+    def test_overflowing_weight_raises(self):
+        y = np.random.default_rng(4).normal(size=128)
+        with pytest.raises(NumericalError, match="non-finite at iteration 0$"):
+            pogs_solve(y, WeightArray(2, 18, 2), 1e308, ABS)
 
 
 class TestMaskedSumPlans:
