@@ -104,26 +104,18 @@ def _read_input(path):
 
 def cmd_generate(args) -> int:
     seed = _env_seed(args.seed)
-    mix = gen_mixture(
-        n_samples=args.n,
-        t1=args.t1,
-        t2=args.t2,
-        sigma=args.sigma,
-        seed=seed,
-        transient_len=args.transient_len,
-        jitter_pct=args.jitter,
-        modulation_freq_hz=args.modulation_freq,
-        sample_rate_hz=args.fs,
-    )
+    # named as gen_mixture takes them; the length is n_samples there and n in truth.json
+    params = {"t1": args.t1, "t2": args.t2, "sigma": args.sigma,
+              "transient_len": args.transient_len, "jitter_pct": args.jitter,
+              "modulation_freq_hz": args.modulation_freq, "sample_rate_hz": args.fs}
+    mix = gen_mixture(n_samples=args.n, seed=seed, **params)
     columns = {"index": np.arange(args.n), "y": mix.y, "x1_true": mix.x1,
                "x2_true": mix.x2, "w": mix.noise}
     files = _write_tables(args.out, {"signal": ("signal.csv", columns)})
     signal_path = files["signal"]
     manifest_path = _write_record(
         args.out, "truth.json", "generate",
-        params={"n": args.n, "t1": args.t1, "t2": args.t2, "sigma": args.sigma,
-                "transient_len": args.transient_len, "jitter_pct": args.jitter,
-                "modulation_freq_hz": args.modulation_freq, "sample_rate_hz": args.fs},
+        params={"n": args.n, **params},
         seed=seed,
         child_seeds=list(mix.seeds),
         onsets1=mix.onsets1.tolist(),
@@ -408,41 +400,31 @@ class _Prior(argparse.Action):
         setattr(namespace, self.dest, {self.const: value})
 
 
-def _comma_list(convert, ok, expected):
-    """An argparse type: a comma list of ``convert``-ed values passing ``ok``."""
+def _checked(convert, ok, expected):
+    """An argparse type: ``convert(text)`` if it converts and passes ``ok``,
+    else a refusal naming the ``expected`` value."""
 
     def parse(text):
         try:
-            values = [convert(v) for v in text.split(",") if v.strip()]
+            value = convert(text)
         except ValueError:
-            values = []
-        if not values or not ok(values):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-        return values
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
     return parse
 
 
-def _fraction(text):
-    """An argparse type: a float in [0, 1)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not 0 <= value < 1:
-        raise argparse.ArgumentTypeError(f"expected a value in [0, 1), got {text!r}")
-    return value
+def _comma_list(convert, ok, expected):
+    """An argparse type: a nonempty comma list of ``convert``-ed values passing ``ok``."""
+    return _checked(lambda text: [convert(v) for v in text.split(",") if v.strip()],
+                    lambda values: values and ok(values), expected)
 
 
-def _count(text):
-    """An argparse type: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+_fraction = _checked(float, lambda v: 0 <= v < 1, "a value in [0, 1)")
+_count = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--modulation-freq", type=float, default=None,
                    help="amplitude-modulation frequency for train 2 (needs --fs)")
     g.add_argument("--fs", type=float, default=None, help="sample rate in Hz")
-    g.add_argument("--out", default=DEFAULT_OUT, help="output directory (default ./out)")
+    g.add_argument("--out", default=DEFAULT_OUT, help="output directory (default ./%(default)s)")
     g.set_defaults(func=cmd_generate)
 
     # the settings extract and bench-eta share: the ones a --config file sets
@@ -483,15 +465,15 @@ def build_parser() -> argparse.ArgumentParser:
     per_component = _comma_list(int, lambda v: len(v) <= 2,
                                 "an integer or two comma-separated integers")
     s.add_argument("--n1", type=per_component, default="3",
-                   help="ones-run (group) length, or 'a,b' per component, default 3")
+                   help="ones-run (group) length, or 'a,b' per component, default %(default)s")
     s.add_argument("--m", type=per_component, default="4",
-                   help="periods spanned by the mask, or 'a,b' per component, default 4")
-    s.add_argument("--a0-fraction", dest="a0_fraction", type=_fraction, default=0.5,
-                   help="coupling concavity as a fraction of the convexity bound, default 0.5")
+                   help="periods spanned by the mask, or 'a,b' per component, default %(default)s")
+    s.add_argument("--a0-fraction", type=_fraction, default=0.5, help="coupling concavity "
+                   "as a fraction of the convexity bound, default %(default)s")
     s.add_argument("--penalty", choices=FAMILIES, default="atan",
-                   help="penalty family for the coupling term, default atan")
-    s.add_argument("--max-iter", type=int, default=200,
-                   help="budget of map evaluations (three per accelerated cycle), default 200")
+                   help="penalty family for the coupling term, default %(default)s")
+    s.add_argument("--max-iter", type=int, default=200, help="budget of map evaluations "
+                   "(three per accelerated cycle), default %(default)s")
     s.add_argument("--tol", type=float, default=1e-8,
                    help="stop when a plain step changes the cost by less than this, relative")
     s.add_argument("--config", default=None,
@@ -501,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("extract", parents=[s], help="run the decomposition on a CSV signal")
     e.add_argument("input", help="CSV with a 'y' column (or a single column)")
     e.add_argument("--mode", choices=("rtea", "pogs"), default="rtea")
-    e.add_argument("--eta", type=_fraction, default=0.5,
-                   help="sparsity balance in [0,1), default 0.5; 0 drops the coupling term")
+    e.add_argument("--eta", type=_fraction, default=0.5, help="sparsity balance in [0,1), "
+                   "default %(default)s; 0 drops the coupling term")
     e.add_argument("--lam", type=float, default=None,
                    help="pogs mode only: regularization weight (default beta*sigma_hat)")
     e.set_defaults(func=cmd_extract)
@@ -515,10 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
     # argparse reads "-inf" as an unknown option unless it counts as a negative number
     a._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf$)")
     a.add_argument("--nfft", type=int, default=None)
-    a.add_argument("--smooth-hz", dest="smooth_hz", type=float, default=2.0)
-    a.add_argument("--n-harmonics", dest="n_harmonics", type=int, default=5)
-    a.add_argument("--tol-hz", dest="tol_hz", type=float, default=None)
-    a.add_argument("--max-peaks", dest="max_peaks", type=_count, default=10)
+    a.add_argument("--smooth-hz", type=float, default=2.0)
+    a.add_argument("--n-harmonics", type=int, default=5)
+    a.add_argument("--tol-hz", type=float, default=None)
+    a.add_argument("--max-peaks", type=_count, default=10)
     a.add_argument("--out", default=DEFAULT_OUT)
     a.set_defaults(func=cmd_analyze)
 

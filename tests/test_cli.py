@@ -1,5 +1,7 @@
 import contextlib
+import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -12,11 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtea.cli import main
+from rtea.analysis import envelope_spectrum, find_peaks
+from rtea.cli import build_parser, main
 from rtea.fileio import read_columns_csv, write_columns_csv
 from rtea.params import PeriodSpec, default_config, estimate_sigma
 from rtea.penalties import FAMILIES
-from rtea.solver import rtea_solve
+from rtea.solver import SolverConfig, pogs_solve, rtea_solve
 from rtea.synth import gen_mixture
 
 
@@ -83,6 +86,9 @@ class TestGenerate:
         assert truth["onsets1"] == mix.onsets1.tolist()
         assert truth["onsets2"] == mix.onsets2.tolist()
         assert truth["child_seeds"] == list(mix.seeds)
+        assert truth["params"] == {
+            "n": 1024, "t1": 32.0, "t2": 53.0, "sigma": 0.5, "transient_len": 10,
+            "jitter_pct": 2.0, "modulation_freq_hz": 6.0, "sample_rate_hz": 12800.0}
 
     def test_sigma_zero(self, tmp_path):
         out = tmp_path / "clean"
@@ -872,6 +878,77 @@ def test_refusal_names_its_cause(generated, tmp_path, capsys, command, text, fla
     assert run([command, *inputs, *flags, "--out", out]) == 2
     assert capsys.readouterr().err == f"error: {cause.format(input=source)}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, line", [
+    ("extract", ["--eta", "1.5"], "argument --eta: expected a value in [0, 1), got '1.5'"),
+    ("extract", ["--a0-fraction", "nan"],
+     "argument --a0-fraction: expected a value in [0, 1), got 'nan'"),
+    ("extract", ["--n1", "1,2,3"],
+     "argument --n1: expected an integer or two comma-separated integers, got '1,2,3'"),
+    ("extract", ["--m", ","],
+     "argument --m: expected an integer or two comma-separated integers, got ','"),
+    ("bench-eta", ["--etas", "0.5,abc"],
+     "argument --etas: expected a comma list of values in (0, 1), got '0.5,abc'"),
+    ("bench-eta", ["--etas", "0"],
+     "argument --etas: expected a comma list of values in (0, 1), got '0'"),
+    ("analyze", ["--max-peaks", "1.5"],
+     "argument --max-peaks: expected an integer >= 0, got '1.5'"),
+], ids=["eta-1.5", "a0-fraction-nan", "n1-three-values", "m-empty-list", "etas-text",
+        "etas-zero", "max-peaks-float"])
+def test_flag_value_refusal_is_whole(generated, tmp_path, capsys, command, flags, line):
+    # every other argument is valid, so the bad value is the run's one refusal
+    rest = ["--fs", 12800] if command == "analyze" else ["--period1", 32, "--period2", 53]
+    out = tmp_path / "x"
+    assert exit_code([command, generated / "signal.csv", *rest, *flags, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"rtea {command}: error: {line}"
+    assert not out.exists()
+
+
+def parsed_defaults(command):
+    """The settings ``command`` runs with when no optional flag is given."""
+    inputs = [] if command == "generate" else ["signal.csv"]
+    required = ["--fs", "12800"] if command == "analyze" else []
+    return build_parser().parse_args([command, *inputs, *required])
+
+
+def signature_defaults(func):
+    return {name: p.default for name, p in inspect.signature(func).parameters.items()}
+
+
+def field_defaults(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+# default_config's solver settings and the attributes extract and bench-eta parse them into
+SOLVER_SETTINGS = {"a0_fraction": "a0_fraction", "family": "penalty", "max_iter": "max_iter",
+                   "tol": "tol"}
+
+
+# each command, the library defaults it stands for and {library name: parsed attribute}
+@pytest.mark.parametrize("command, defaults, names", [
+    ("extract", signature_defaults(default_config), {"eta": "eta", **SOLVER_SETTINGS}),
+    ("bench-eta", signature_defaults(default_config), SOLVER_SETTINGS),
+    ("extract", signature_defaults(pogs_solve), {"max_iter": "max_iter", "tol": "tol"}),
+    ("extract", field_defaults(SolverConfig), {"max_iter": "max_iter", "tol": "tol"}),
+    # a single --n1 or --m value serves both components
+    ("extract", {k: [v] for k, v in field_defaults(PeriodSpec).items()}, {"n1": "n1", "m": "m"}),
+    ("bench-eta", {k: [v] for k, v in field_defaults(PeriodSpec).items()},
+     {"n1": "n1", "m": "m"}),
+    ("generate", signature_defaults(gen_mixture),
+     {"n_samples": "n", "t1": "t1", "t2": "t2", "sigma": "sigma",
+      "transient_len": "transient_len", "jitter_pct": "jitter"}),
+    ("analyze", signature_defaults(envelope_spectrum),
+     {"smooth_hz": "smooth_hz", "nfft": "nfft"}),
+    ("analyze", signature_defaults(find_peaks),
+     {"n_harmonics": "n_harmonics", "tol_hz": "tol_hz"}),
+], ids=["extract-default_config", "bench-eta-default_config", "extract-pogs_solve",
+        "extract-SolverConfig", "extract-PeriodSpec", "bench-eta-PeriodSpec",
+        "generate-gen_mixture", "analyze-envelope_spectrum", "analyze-find_peaks"])
+def test_cli_default_is_the_library_default(command, defaults, names):
+    args = parsed_defaults(command)
+    assert {name: getattr(args, attr) for name, attr in names.items()} == {
+        name: defaults[name] for name in names}
 
 
 @pytest.mark.parametrize("command, flags", [
