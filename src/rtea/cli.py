@@ -92,10 +92,10 @@ def _write_record(out, name, command, **fields) -> str:
 
 def _read_input(path):
     """The columns of the CSV at ``path`` and the record's ``input`` entry,
-    whose digest is taken now, before the run writes anything (its output
-    may replace the input)."""
-    cols = fileio.read_columns_csv(path)
-    return cols, {"path": path, "sha256": fileio.sha256_file(path)}
+    whose digest is of the bytes parsed, read before the run writes
+    anything (its output may replace the input)."""
+    cols, digest = fileio.read_columns_csv_sha256(path)
+    return cols, {"path": path, "sha256": digest}
 
 
 # ---------------------------------------------------------------------------

@@ -57,12 +57,20 @@ def read_columns_csv(path: str) -> dict[str, np.ndarray]:
     """Read a CSV written by :func:`write_columns_csv` (or any headered
     numeric table; a single headerless column is accepted as ``y``).  A
     leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped."""
+    return read_columns_csv_sha256(path)[0]
+
+
+def read_columns_csv_sha256(path: str) -> tuple[dict[str, np.ndarray], str]:
+    """The columns of :func:`read_columns_csv` and the SHA-256 hex digest of
+    the bytes they were parsed from (the file is read once)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # decoded as the file would be, chunk by chunk, with no full-text copy
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     try:
-        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+        rows = [r for r in csv.reader(text) if r]
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    rows = [r for r in rows if r]
     if not rows:
         raise ValueError(f"{path}: empty CSV")
     header = rows[0]
@@ -78,18 +86,31 @@ def read_columns_csv(path: str) -> dict[str, np.ndarray]:
     repeated = [name for i, name in enumerate(header) if name in header[:i]]
     if repeated:
         raise ValueError(f"{path}: column name {repeated[0]!r} is repeated in the header")
-    cols = {name: np.empty(len(data_rows)) for name in header}
+    if all(len(row) == len(header) for row in data_rows):
+        # zip(*rows) of no rows yields no columns, not empty ones
+        columns = zip(*data_rows) if data_rows else [()] * len(header)
+        try:
+            cols = {name: np.fromiter(map(float, c), float, len(data_rows))
+                    for name, c in zip(header, columns)}
+        except ValueError:
+            pass
+        else:
+            return cols, hashlib.sha256(data).hexdigest()
+    raise ValueError(f"{path}: {_first_refusal(header, data_rows)}")
+
+
+def _first_refusal(header: list[str], data_rows: list[list[str]]) -> str:
+    """Why the first row, in file order, that has the wrong field count or
+    a cell that is not a number is refused."""
     for i, row in enumerate(data_rows):
         if len(row) != len(header):
-            raise ValueError(f"{path}: row {i + 1} has {len(row)} fields, expected {len(header)}")
+            return f"row {i + 1} has {len(row)} fields, expected {len(header)}"
         for name, v in zip(header, row):
             try:
-                cols[name][i] = float(v)
+                float(v)
             except ValueError:
-                raise ValueError(
-                    f"{path}: row {i + 1}, column {name!r}: not a number: {v!r}"
-                ) from None
-    return cols
+                return f"row {i + 1}, column {name!r}: not a number: {v!r}"
+    raise AssertionError("every row parses")
 
 
 def write_json(path: str, obj) -> None:

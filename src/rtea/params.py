@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .penalties import PenaltySpec
-from .regularizers import WeightArray, _as_signal
+from .regularizers import WeightArray, _as_signal, _check_integers
 from .solver import SolverConfig, check_convexity
 
 # Regularization multiplier beta, indexed by [m - 1][n1 - 1].  The m = 1 row
@@ -70,6 +70,7 @@ class PeriodSpec:
                 f"period sample_rate_hz / fault_freq_hz = {self.sample_rate_hz} / "
                 f"{self.fault_freq_hz} overflows"
             )
+        _check_integers(self, "n1", "m")
         if self.n1 < 1:
             raise ValueError(f"n1 must be >= 1, got {self.n1}")
         if self.m < 1:

@@ -26,6 +26,15 @@ import numpy as np
 from .penalties import PenaltySpec, _denom_at, _value_at
 
 
+def _check_integers(obj, *names: str) -> None:
+    """Refuse each named field of ``obj`` that is not an integer (a numpy
+    integer is one; a float is not, even 3.0)."""
+    for name in names:
+        v = getattr(obj, name)
+        if not isinstance(v, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {type(v).__name__}")
+
+
 @dataclass(frozen=True)
 class WeightArray:
     """Binary periodic mask: (m+1) runs of ``n1`` ones separated by m runs
@@ -41,6 +50,7 @@ class WeightArray:
     m: int
 
     def __post_init__(self):
+        _check_integers(self, "n1", "n0", "m")
         if self.n1 < 1:
             raise ValueError(f"ones-run length n1 must be >= 1, got {self.n1}")
         if self.n0 < 0:

@@ -121,3 +121,45 @@ def test_cold_extract_leaves_numpy_ma_out(tmp_path):
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines()[-1] == "0"
+
+
+def loaded_after(code):
+    """The modules named numpy or rtea.* that a fresh interpreter holds
+    after running ``code``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rtea.__file__).resolve().parent.parent))
+    code += (
+        "\nimport sys\n"
+        "print(' '.join(m for m in sys.modules if m == 'numpy' or m.startswith('rtea.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return set(out.stdout.split())
+
+
+def test_bare_import_loads_no_submodule():
+    assert loaded_after("import rtea") == set()
+
+
+def test_a_name_loads_only_its_module():
+    loaded = loaded_after("from rtea import rtea_solve")
+    assert "rtea.solver" in loaded
+    assert not loaded & {"rtea.synth", "rtea.analysis"}
+
+
+def test_dir_lists_every_public_name():
+    assert set(rtea.__all__) <= set(dir(rtea))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from rtea import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
+    assert all(namespace[name] is getattr(rtea, name) for name in PUBLIC_NAMES)
+
+
+def test_unknown_name_is_refused_by_name():
+    with pytest.raises(AttributeError, match="module 'rtea' has no attribute 'rtea_solver'"):
+        rtea.rtea_solver
+    with pytest.raises(ImportError, match="cannot import name 'rtea_solver'"):
+        exec("from rtea import rtea_solver", {})

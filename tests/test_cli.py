@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import inspect
@@ -1054,6 +1055,27 @@ def test_record_digest_is_of_the_input_as_read(tmp_path):
     record = json.loads((out / "manifest.json").read_text())
     assert record["input"]["sha256"] == original
     assert hashlib.sha256(read_bytes(out / "components.csv")).hexdigest() != original
+
+
+def test_record_digest_is_of_the_bytes_parsed(tmp_path, monkeypatch):
+    # the input is rewritten right after it is parsed: the record names the
+    # bytes the run decomposed, not the file as it is when the digest is taken
+    path = tmp_path / "signal.csv"
+    write_columns_csv(str(path), {"y": np.random.default_rng(4).normal(size=64)})
+    parsed = read_bytes(path)
+    reader = csv.reader
+
+    def parse_then_rewrite(*args, **kwargs):
+        rows = list(reader(*args, **kwargs))
+        write_columns_csv(str(path), {"y": np.zeros(64)})
+        return iter(rows)
+
+    monkeypatch.setattr(csv, "reader", parse_then_rewrite)
+    assert run(["extract", path, "--mode", "pogs", "--period1", 8, "--m", 2,
+                "--out", tmp_path / "out"]) == 0
+    record = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert read_bytes(path) != parsed
+    assert record["input"]["sha256"] == hashlib.sha256(parsed).hexdigest()
 
 
 def test_console_entrypoint_help():

@@ -15,6 +15,7 @@ from rtea.params import (
     estimate_sigma,
 )
 from rtea.penalties import PenaltySpec
+from rtea.regularizers import WeightArray
 from rtea.solver import SolverConfig, check_convexity
 
 from oracles import dense_mask
@@ -60,6 +61,16 @@ class TestPeriodSpec:
     def test_no_zero_gap_rejected(self):
         with pytest.raises(ValueError):
             PeriodSpec(period_samples=4, n1=4)
+
+    @pytest.mark.parametrize("field", ["n1", "m"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0)], ids=["2.5", "3.0", "np3.0"])
+    def test_non_integer_size_rejected(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got float"):
+            PeriodSpec(period_samples=32, **{field: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = PeriodSpec(period_samples=32, n1=np.int64(3), m=np.int16(4))
+        assert build_weight_array(spec) == WeightArray(n1=3, n0=29, m=4)
 
 
 class TestBuildWeightArray:

@@ -70,6 +70,17 @@ class TestWeightArray:
         with pytest.raises(ValueError, match="period count m must be >= 0, got -1"):
             WeightArray(2, 3, -1)
 
+    @pytest.mark.parametrize("field", ["n1", "n0", "m"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0)], ids=["2.5", "3.0", "np3.0"])
+    def test_non_integer_size_rejected(self, field, value):
+        sizes = dict(n1=2, n0=3, m=1) | {field: value}
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got float"):
+            WeightArray(**sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        w = WeightArray(np.int64(3), np.int32(29), np.uint8(4))
+        assert len(w) == 131 and w == WeightArray(3, 29, 4)
+
 
 @st.composite
 def mask_and_signal(draw):
