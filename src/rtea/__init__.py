@@ -4,7 +4,8 @@ repetition frequencies from envelope spectra.
 
 Each public name is listed once, under the submodule that defines it; that
 submodule is imported the first time the name is used, so ``import rtea``
-alone loads neither numpy nor any submodule.
+alone loads neither numpy nor any submodule.  A submodule named in the
+table (``rtea.solver``) is likewise imported on first use.
 """
 
 import importlib
@@ -28,6 +29,8 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
+    if name in _NAMES:  # a submodule; importing it binds it here
+        return importlib.import_module(f"{__name__}.{name}")
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
@@ -36,4 +39,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__all__) | set(_NAMES))

@@ -86,31 +86,18 @@ def read_columns_csv_sha256(path: str) -> tuple[dict[str, np.ndarray], str]:
     repeated = [name for i, name in enumerate(header) if name in header[:i]]
     if repeated:
         raise ValueError(f"{path}: column name {repeated[0]!r} is repeated in the header")
-    if all(len(row) == len(header) for row in data_rows):
-        # zip(*rows) of no rows yields no columns, not empty ones
-        columns = zip(*data_rows) if data_rows else [()] * len(header)
-        try:
-            cols = {name: np.fromiter(map(float, c), float, len(data_rows))
-                    for name, c in zip(header, columns)}
-        except ValueError:
-            pass
-        else:
-            return cols, hashlib.sha256(data).hexdigest()
-    raise ValueError(f"{path}: {_first_refusal(header, data_rows)}")
-
-
-def _first_refusal(header: list[str], data_rows: list[list[str]]) -> str:
-    """Why the first row, in file order, that has the wrong field count or
-    a cell that is not a number is refused."""
+    cols = {name: np.empty(len(data_rows)) for name in header}
     for i, row in enumerate(data_rows):
         if len(row) != len(header):
-            return f"row {i + 1} has {len(row)} fields, expected {len(header)}"
+            raise ValueError(f"{path}: row {i + 1} has {len(row)} fields, expected {len(header)}")
         for name, v in zip(header, row):
             try:
-                float(v)
+                cols[name][i] = float(v)
             except ValueError:
-                return f"row {i + 1}, column {name!r}: not a number: {v!r}"
-    raise AssertionError("every row parses")
+                raise ValueError(
+                    f"{path}: row {i + 1}, column {name!r}: not a number: {v!r}"
+                ) from None
+    return cols, hashlib.sha256(data).hexdigest()
 
 
 def write_json(path: str, obj) -> None:

@@ -34,7 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .penalties import PenaltySpec
-from .regularizers import WeightArray, _as_signal, _check_mask, _norms, _penalty, _weights
+from .regularizers import (
+    WeightArray, _as_signal, _check_integers, _check_mask, _norms, _penalty, _weights,
+)
 
 
 class NumericalError(RuntimeError):
@@ -110,6 +112,7 @@ class SolverConfig:
     def __post_init__(self):
         lams = {"lam0": self.lam0, "lam1": self.lam1, "lam2": self.lam2}
         _check_run(self.max_iter, self.tol, (self.pen1, self.pen2), **lams)
+        _check_integers(self, "k0")
         if self.k0 < 1:
             raise ValueError(f"group size k0 must be >= 1, got {self.k0}")
         for name in ("b1", "b2"):

@@ -141,6 +141,13 @@ def test_bare_import_loads_no_submodule():
     assert loaded_after("import rtea") == set()
 
 
+@pytest.mark.parametrize("module", sorted(rtea._NAMES))
+def test_submodule_is_an_attribute_of_a_bare_import(module):
+    # callers may read rtea.params.X with no import but ``import rtea``
+    loaded = loaded_after(f"import rtea\nassert rtea.{module}.__name__ == 'rtea.{module}'")
+    assert f"rtea.{module}" in loaded
+
+
 def test_a_name_loads_only_its_module():
     loaded = loaded_after("from rtea import rtea_solve")
     assert "rtea.solver" in loaded

@@ -105,6 +105,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^group size k0 must be >= 1, got 0$"):
             small_config(k0=0)
 
+    @pytest.mark.parametrize("k0", [2.5, 2.0], ids=["fraction", "integral-float"])
+    def test_non_integer_group_size_rejected(self, k0):
+        with pytest.raises(TypeError, match="^k0 must be an integer, got float$"):
+            small_config(k0=k0)
+
     def test_dense_mask_rejected(self):
         with pytest.raises(TypeError):
             small_config(b1=np.ones(3))
