@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regularizers import _as_signal
+from .regularizers import _as_signal, _check_count, _check_positive
 
 
 def rmse(a, b) -> float:
@@ -76,16 +76,11 @@ def envelope_spectrum(x, fs: float, nfft: int | None = None, smooth_hz: float = 
     signal length to interpolate the spectrum (default: signal length).
     """
     x = _as_signal(x, "x", min_size=2)
-    if not 0 < fs < np.inf:
-        raise ValueError(f"sample rate fs must be a finite positive real, got {fs}")
-    if not np.isfinite(smooth_hz):
-        raise ValueError(f"smooth_hz must be finite, got {smooth_hz}")
-    if smooth_hz <= 0:
-        raise ValueError(f"smooth_hz must be > 0, got {smooth_hz}")
+    _check_positive("sample rate fs", fs)
+    _check_positive("smooth_hz", smooth_hz)
     if nfft is None:
         nfft = x.size
-    if nfft < x.size:
-        raise ValueError(f"nfft = {nfft} is below the signal length {x.size}")
+    _check_count("nfft", nfft, x.size)
     resolution = fs / nfft
     if not resolution > 0:
         raise ValueError(f"resolution fs / nfft = {fs} / {nfft} underflows to 0")
@@ -159,18 +154,17 @@ def find_peaks(
         raise ValueError(f"empty band: {band_hz}")
     if hi <= float(spec.freqs_hz[0]) or lo >= float(spec.freqs_hz[-1]):
         raise ValueError(f"band {band_hz} lies outside the spectrum range")
-    if n_harmonics < 1:
-        raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
+    _check_count("n_harmonics", n_harmonics)
     if tol_hz is None:
         tol_hz = max(1.0, 2.0 * spec.resolution_hz)
-    elif not 0 < tol_hz < np.inf:
-        raise ValueError(f"tol_hz must be a finite positive real, got {tol_hz}")
-    elif not tol_hz < spec.freqs_hz[-1]:
-        # every multiple up to the top maximum plus tol_hz would be found
-        raise ValueError(
-            f"tol_hz = {tol_hz} is not below the top of the spectrum, "
-            f"{float(spec.freqs_hz[-1])} Hz"
-        )
+    else:
+        _check_positive("tol_hz", tol_hz)
+        if not tol_hz < spec.freqs_hz[-1]:
+            # every multiple up to the top maximum plus tol_hz would be found
+            raise ValueError(
+                f"tol_hz = {tol_hz} is not below the top of the spectrum, "
+                f"{float(spec.freqs_hz[-1])} Hz"
+            )
     maxima = _local_maxima(spec.smoothed)
     freqs = spec.freqs_hz[maxima]
     mags = spec.smoothed[maxima]

@@ -111,8 +111,8 @@ def cmd_generate(args) -> int:
     mix = gen_mixture(n_samples=args.n, seed=seed, **params)
     columns = {"index": np.arange(args.n), "y": mix.y, "x1_true": mix.x1,
                "x2_true": mix.x2, "w": mix.noise}
-    files = _write_tables(args.out, {"signal": ("signal.csv", columns)})
-    signal_path = files["signal"]
+    signal_path = os.path.join(args.out, "signal.csv")
+    digest = fileio.write_columns_csv(signal_path, columns)
     manifest_path = _write_record(
         args.out, "truth.json", "generate",
         params={"n": args.n, **params},
@@ -120,8 +120,8 @@ def cmd_generate(args) -> int:
         child_seeds=list(mix.seeds),
         onsets1=mix.onsets1.tolist(),
         onsets2=mix.onsets2.tolist(),
-        files=files,
-        sha256={"signal": fileio.sha256_file(signal_path)},
+        files={"signal": signal_path},
+        sha256={"signal": digest},
     )
     print(f"wrote {signal_path} ({args.n} samples) and {manifest_path}")
     return 0

@@ -2,7 +2,8 @@
 
 CSV files carry a header row, full-precision decimal floats and LF line
 endings; floats are written with ``repr`` so a re-read round-trips exactly.
-All writes go through a temp file renamed into place.
+Every file is written as UTF-8, whatever the locale, through a temp file
+renamed into place.
 """
 
 from __future__ import annotations
@@ -18,22 +19,27 @@ from datetime import datetime, timezone
 import numpy as np
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write_text(path: str, text: str) -> str:
+    """Write ``text`` to ``path`` as UTF-8; return the SHA-256 hex digest of
+    the bytes written."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            data = text.encode("utf-8")
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return hashlib.sha256(data).hexdigest()
 
 
-def write_columns_csv(path: str, columns: dict[str, np.ndarray]) -> None:
-    """Write named columns of equal length as a CSV table."""
+def write_columns_csv(path: str, columns: dict[str, np.ndarray]) -> str:
+    """Write named columns of equal length as a CSV table; return the
+    SHA-256 hex digest of the bytes written."""
     names = list(columns)
     arrays = [np.asarray(columns[n]) for n in names]
     lengths = {a.shape[0] for a in arrays}
@@ -50,7 +56,7 @@ def write_columns_csv(path: str, columns: dict[str, np.ndarray]) -> None:
     buf.write(",".join(names) + "\n")
     for row in zip(*cells):
         buf.write(",".join(row) + "\n")
-    _atomic_write_text(path, buf.getvalue())
+    return _atomic_write_text(path, buf.getvalue())
 
 
 def read_columns_csv(path: str) -> dict[str, np.ndarray]:
@@ -103,14 +109,6 @@ def read_columns_csv_sha256(path: str) -> tuple[dict[str, np.ndarray], str]:
 def write_json(path: str, obj) -> None:
     # strict JSON: a non-finite float raises instead of writing NaN or Infinity
     _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-
-def sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def utc_timestamp() -> str:

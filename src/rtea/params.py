@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .penalties import PenaltySpec
-from .regularizers import WeightArray, _as_signal, _check_integers
+from .regularizers import WeightArray, _as_signal, _check_count, _check_positive
 from .solver import SolverConfig, check_convexity
 
 # Regularization multiplier beta, indexed by [m - 1][n1 - 1].  The m = 1 row
@@ -62,19 +62,14 @@ class PeriodSpec:
                 )
             given = ("fault_freq_hz", "sample_rate_hz")
         for name in given:
-            v = getattr(self, name)
-            if not 0 < v < np.inf:
-                raise ValueError(f"{name} must be a finite positive real, got {v}")
+            _check_positive(name, getattr(self, name))
         if not self.period < np.inf:
             raise ValueError(
                 f"period sample_rate_hz / fault_freq_hz = {self.sample_rate_hz} / "
                 f"{self.fault_freq_hz} overflows"
             )
-        _check_integers(self, "n1", "m")
-        if self.n1 < 1:
-            raise ValueError(f"n1 must be >= 1, got {self.n1}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        _check_count("n1", self.n1)
+        _check_count("m", self.m)
         if self.period_int <= self.n1:
             raise ValueError(
                 f"rounded period {self.period_int} leaves no zero gap for "

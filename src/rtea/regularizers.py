@@ -26,15 +26,6 @@ import numpy as np
 from .penalties import PenaltySpec, _denom_at, _value_at
 
 
-def _check_integers(obj, *names: str) -> None:
-    """Refuse each named field of ``obj`` that is not an integer (a numpy
-    integer is one; a float is not, even 3.0)."""
-    for name in names:
-        v = getattr(obj, name)
-        if not isinstance(v, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {type(v).__name__}")
-
-
 @dataclass(frozen=True)
 class WeightArray:
     """Binary periodic mask: (m+1) runs of ``n1`` ones separated by m runs
@@ -50,13 +41,9 @@ class WeightArray:
     m: int
 
     def __post_init__(self):
-        _check_integers(self, "n1", "n0", "m")
-        if self.n1 < 1:
-            raise ValueError(f"ones-run length n1 must be >= 1, got {self.n1}")
-        if self.n0 < 0:
-            raise ValueError(f"zeros-run length n0 must be >= 0, got {self.n0}")
-        if self.m < 0:
-            raise ValueError(f"period count m must be >= 0, got {self.m}")
+        _check_count("n1", self.n1)
+        _check_count("n0", self.n0, 0)
+        _check_count("m", self.m, 0)
         if self.m == 0 and self.n0 != 0:
             raise ValueError("m == 0 (single ones-run) requires n0 == 0")
 
@@ -121,6 +108,23 @@ def _check_mask(b, n: int) -> None:
         raise ValueError(f"mask length {length} exceeds signal length {n}")
 
 
+def _check_count(name: str, value, minimum: int = 1) -> None:
+    """The one check of every size, count and budget: ``value`` an integer
+    (a numpy integer is one; a float is not, even 3.0) of at least
+    ``minimum``.  Its errors call the argument ``name``."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_positive(name: str, value) -> None:
+    """The one check of every rate, period and tolerance: ``value`` a finite
+    real > 0.  Its error calls the argument ``name``."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be a finite positive real, got {value}")
+
+
 def _as_signal(x, name: str = "signal", min_size: int = 1) -> np.ndarray:
     """The one check of every signal that enters the package: ``x`` as a 1-D
     float array of at least ``min_size`` samples, all finite.  Its errors
@@ -182,7 +186,6 @@ def majorizer_weights(z, b, spec: PenaltySpec) -> np.ndarray:
 
 def combined_majorizer_weights(z, k0: int, spec: PenaltySpec) -> np.ndarray:
     """Majorizer weights for the all-ones mask of size k0 (sum regularizer)."""
-    if k0 < 1:
-        raise ValueError(f"group size k0 must be >= 1, got {k0}")
+    _check_count("k0", k0)
     return majorizer_weights(z, WeightArray.ones(k0), spec)
 

@@ -35,7 +35,8 @@ import numpy as np
 
 from .penalties import PenaltySpec
 from .regularizers import (
-    WeightArray, _as_signal, _check_integers, _check_mask, _norms, _penalty, _weights,
+    WeightArray, _as_signal, _check_count, _check_mask, _check_positive, _norms, _penalty,
+    _weights,
 )
 
 
@@ -55,8 +56,7 @@ def check_convexity(k0: int, lam0: float, a0: float) -> tuple[bool, float]:
     Returns ``(a0 < bound, bound)`` with ``bound = 1 / (k0 * lam0)``.
     Requires ``lam0 > 0``; the bound is meaningless otherwise.
     """
-    if k0 < 1:
-        raise ValueError(f"group size k0 must be >= 1, got {k0}")
+    _check_count("k0", k0)
     if not lam0 > 0:
         raise ValueError(f"convexity bound requires lam0 > 0, got {lam0}")
     if a0 < 0:
@@ -78,10 +78,8 @@ def _check_run(max_iter: int, tol: float, pens, **lams: float) -> None:
     for name, v in lams.items():
         if not 0 <= v < np.inf:
             raise ValueError(f"{name} must be a finite nonnegative real, got {v}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _check_count("max_iter", max_iter)
+    _check_positive("tol", tol)
 
 
 @dataclass(frozen=True)
@@ -112,9 +110,7 @@ class SolverConfig:
     def __post_init__(self):
         lams = {"lam0": self.lam0, "lam1": self.lam1, "lam2": self.lam2}
         _check_run(self.max_iter, self.tol, (self.pen1, self.pen2), **lams)
-        _check_integers(self, "k0")
-        if self.k0 < 1:
-            raise ValueError(f"group size k0 must be >= 1, got {self.k0}")
+        _check_count("k0", self.k0)
         for name in ("b1", "b2"):
             b = getattr(self, name)
             if not isinstance(b, WeightArray):

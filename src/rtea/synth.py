@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .regularizers import _check_count, _check_positive
+
 TWO_PI = 2.0 * np.pi
 # Low/high bounds of each transient's uniform draws, in draw order: the count
 # of sinusoids (inclusive), then per sinusoid its amplitude, frequency, phase.
@@ -40,20 +42,15 @@ class TransientTrain:
     seed: int = 0
 
     def __post_init__(self):
-        if self.transient_len < 1:
-            raise ValueError(f"transient_len must be >= 1, got {self.transient_len}")
-        if not 0 < self.period_samples < np.inf:
-            raise ValueError(
-                f"period_samples must be a finite positive real, got {self.period_samples}"
-            )
+        _check_count("transient_len", self.transient_len)
+        _check_positive("period_samples", self.period_samples)
         if not 0.0 <= self.jitter_pct <= 5.0:
             raise ValueError(f"jitter_pct must lie in [0, 5], got {self.jitter_pct}")
         if self.modulation_freq_hz is not None and self.sample_rate_hz is None:
             raise ValueError("modulation_freq_hz requires sample_rate_hz")
         for name in ("modulation_freq_hz", "sample_rate_hz"):
-            v = getattr(self, name)
-            if v is not None and not 0 < v < np.inf:
-                raise ValueError(f"{name} must be a finite positive real, got {v}")
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -79,8 +76,7 @@ def _draw_transient(rng: np.random.Generator, train: TransientTrain) -> np.ndarr
 
 def _check_train(train: TransientTrain, n_samples: int) -> None:
     # the checks of gen_train, made before it allocates anything
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _check_count("n_samples", n_samples)
     t = train.period_samples
     if t <= train.transient_len:
         raise ValueError(

@@ -96,12 +96,14 @@ class TestEnvelopeSpectrum:
             with pytest.raises(ValueError, match="sample rate fs must be a finite positive"):
                 envelope_spectrum(np.zeros(100), fs)
         for smooth_hz in (np.inf, np.nan):
-            with pytest.raises(ValueError, match="smooth_hz must be finite"):
+            with pytest.raises(ValueError,
+                               match=f"smooth_hz must be a finite positive real, got {smooth_hz}"):
                 envelope_spectrum(np.zeros(100), 10.0, smooth_hz=smooth_hz)
 
     @pytest.mark.parametrize("smooth_hz", [-5.0, 0.0, -1e-300])
     def test_non_positive_smooth_hz_rejected(self, smooth_hz):
-        with pytest.raises(ValueError, match=f"smooth_hz must be > 0, got {smooth_hz}"):
+        with pytest.raises(ValueError,
+                           match=f"smooth_hz must be a finite positive real, got {smooth_hz}"):
             envelope_spectrum(np.ones(100), 10.0, smooth_hz=smooth_hz)
 
 

@@ -501,10 +501,14 @@ def extract_with_config(generated, tmp_path, cfg, *flags, name="cfg"):
     ("extract", ["--freq1", 43, "--freq2", 58, "--fs", "inf"],
      "sample_rate_hz must be a finite positive real, got inf"),
     ("analyze", ["--fs", "inf"], "sample rate fs must be a finite positive real, got inf"),
-    ("analyze", ["--fs", 12800, "--smooth-hz", "inf"], "smooth_hz must be finite, got inf"),
-    ("analyze", ["--fs", 12800, "--smooth-hz", "nan"], "smooth_hz must be finite, got nan"),
-    ("analyze", ["--fs", 12800, "--smooth-hz", -5], "smooth_hz must be > 0, got -5.0"),
-    ("analyze", ["--fs", 12800, "--smooth-hz", 0], "smooth_hz must be > 0, got 0.0"),
+    ("analyze", ["--fs", 12800, "--smooth-hz", "inf"],
+     "smooth_hz must be a finite positive real, got inf"),
+    ("analyze", ["--fs", 12800, "--smooth-hz", "nan"],
+     "smooth_hz must be a finite positive real, got nan"),
+    ("analyze", ["--fs", 12800, "--smooth-hz", -5],
+     "smooth_hz must be a finite positive real, got -5.0"),
+    ("analyze", ["--fs", 12800, "--smooth-hz", 0],
+     "smooth_hz must be a finite positive real, got 0.0"),
     # a 1 024-sample record at 12.8 kHz has a 513-bin spectrum of 12.5 Hz bins
     ("analyze", ["--fs", 12800, "--smooth-hz", "1e5"],
      "smooth_hz = 100000.0 spans a 8001-bin smoothing kernel, wider than the 513-bin spectrum"),
@@ -1078,6 +1082,27 @@ def test_record_digest_is_of_the_bytes_parsed(tmp_path, monkeypatch):
     assert record["input"]["sha256"] == hashlib.sha256(parsed).hexdigest()
 
 
+def test_generate_records_the_digest_of_the_bytes_written(tmp_path, monkeypatch):
+    # signal.csv is changed right after it is renamed into place: truth.json
+    # names the bytes generate wrote, not the file as it is when the record is made
+    written = {}
+    rename = os.replace
+
+    def rename_then_change(src, dst):
+        rename(src, dst)
+        if os.path.basename(dst) == "signal.csv":
+            written["signal"] = read_bytes(dst)
+            with open(dst, "ab") as fh:
+                fh.write(b"64,0.0,0.0,0.0,0.0\n")
+
+    monkeypatch.setattr(os, "replace", rename_then_change)
+    out = tmp_path / "gen"
+    assert run(["generate", "--n", 64, "--out", out]) == 0
+    record = json.loads((out / "truth.json").read_text(encoding="utf-8"))
+    assert read_bytes(out / "signal.csv") != written["signal"]
+    assert record["sha256"] == {"signal": hashlib.sha256(written["signal"]).hexdigest()}
+
+
 def test_console_entrypoint_help():
     import os, subprocess, sys
     from pathlib import Path
@@ -1091,6 +1116,32 @@ def test_console_entrypoint_help():
     )
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "bench-eta" in proc.stdout
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("generate", ["--n", 256]),
+    ("extract", ["{signal}", "--config", "{config}"]),
+    ("analyze", ["{signal}", "--fs", 1000]),
+    ("bench-eta", ["{signal}", "--period1", 32, "--period2", 53, "--etas", "0.3,0.6"]),
+], ids=["generate", "extract", "analyze", "bench-eta"])
+def test_no_command_depends_on_the_locale_encoding(generated, tmp_path, command, flags):
+    # a text-mode open without an encoding gives an EncodingWarning, here an error
+    import subprocess, sys
+    from pathlib import Path
+
+    import rtea
+
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"period_samples": [32, 53]}), encoding="utf-8")
+    files = {"signal": generated / "signal.csv", "config": config}
+    args = [str(a).format(**files) for a in [command, *flags, "--out", tmp_path / "out"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(rtea.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "rtea", *args], env=env, capture_output=True, text=True, encoding="utf-8",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "EncodingWarning" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ class TestWeightArray:
             WeightArray(2, -1, 1)
         with pytest.raises(ValueError):
             WeightArray(2, 3, 0)  # single run must have n0 == 0
-        with pytest.raises(ValueError, match="period count m must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="m must be >= 0, got -1"):
             WeightArray(2, 3, -1)
 
     @pytest.mark.parametrize("field", ["n1", "n0", "m"])
@@ -280,7 +280,7 @@ class TestWeights:
         assert np.max(np.abs(fast - slow)) < 1e-12 * max(1.0, np.max(np.abs(slow)))
 
     def test_combined_zero_group_size_rejected(self):
-        with pytest.raises(ValueError, match="^group size k0 must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match="^k0 must be >= 1, got 0$"):
             combined_majorizer_weights(np.zeros(12), 0, ABS)
 
     def test_combined_equals_all_ones_mask(self):

@@ -1,0 +1,128 @@
+"""Every public entry point that takes a size, count or budget checks it
+by one rule, and every one that takes a rate, period or tolerance by
+another.
+
+A count passes ``regularizers._check_count``: an integer (a numpy integer
+is one; a float is not, even 3.0) of at least its least value, or a
+``TypeError`` or ``ValueError`` naming the argument.  A rate, period or
+tolerance passes ``regularizers._check_positive``: a finite real > 0, or
+``<name> must be a finite positive real, got <v>``.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from rtea import (
+    PenaltySpec,
+    PeriodSpec,
+    SolverConfig,
+    TransientTrain,
+    WeightArray,
+    check_convexity,
+    combined_majorizer_weights,
+    default_config,
+    envelope_spectrum,
+    find_peaks,
+    gen_mixture,
+    gen_train,
+    pogs_solve,
+)
+
+N = 96
+SIGNAL = np.random.default_rng(29).normal(size=N)
+ABS = PenaltySpec("abs")
+MASK = WeightArray(n1=3, n0=13, m=2)
+PRIORS = (PeriodSpec(period_samples=16), PeriodSpec(period_samples=19))
+SPECTRUM = envelope_spectrum(SIGNAL, fs=1000.0)
+BAND = (5.0, 400.0)
+
+
+def config(**fields):
+    return SolverConfig(**{"lam0": 0.4, "lam1": 0.2, "lam2": 0.25, "pen0": ABS, "pen1": ABS,
+                           "pen2": ABS, "k0": 2, "b1": MASK,
+                           "b2": WeightArray(n1=2, n0=17, m=2), **fields})
+
+
+# entry point and argument -> (call on a value, the name its errors give
+# the argument, its least value, a valid value)
+COUNTS = {
+    "WeightArray-n1": (lambda v: WeightArray(n1=v, n0=3, m=1), "n1", 1, 2),
+    "WeightArray-n0": (lambda v: WeightArray(n1=2, n0=v, m=1), "n0", 0, 3),
+    "WeightArray-m": (lambda v: WeightArray(n1=2, n0=3, m=v), "m", 0, 1),
+    "PeriodSpec-n1": (lambda v: PeriodSpec(period_samples=32, n1=v), "n1", 1, 3),
+    "PeriodSpec-m": (lambda v: PeriodSpec(period_samples=32, m=v), "m", 1, 4),
+    "SolverConfig-k0": (lambda v: config(k0=v), "k0", 1, 2),
+    "SolverConfig-max_iter": (lambda v: config(max_iter=v), "max_iter", 1, 5),
+    "default_config-max_iter": (lambda v: default_config(SIGNAL, *PRIORS, max_iter=v),
+                                "max_iter", 1, 5),
+    "pogs_solve-max_iter": (lambda v: pogs_solve(SIGNAL, MASK, 0.5, ABS, max_iter=v),
+                            "max_iter", 1, 5),
+    "check_convexity-k0": (lambda v: check_convexity(v, 1.0, 0.0), "k0", 1, 2),
+    "combined_majorizer_weights-k0": (lambda v: combined_majorizer_weights(SIGNAL, v, ABS),
+                                      "k0", 1, 2),
+    "TransientTrain-transient_len": (lambda v: TransientTrain(32.0, transient_len=v),
+                                     "transient_len", 1, 10),
+    "gen_train-n_samples": (lambda v: gen_train(TransientTrain(32.0), v), "n_samples", 1, N),
+    "gen_mixture-n_samples": (lambda v: gen_mixture(n_samples=v), "n_samples", 1, N),
+    "find_peaks-n_harmonics": (lambda v: find_peaks(SPECTRUM, BAND, n_harmonics=v),
+                               "n_harmonics", 1, 5),
+    # the spectrum may interpolate, never drop samples
+    "envelope_spectrum-nfft": (lambda v: envelope_spectrum(SIGNAL, 1000.0, nfft=v),
+                               "nfft", N, 2 * N),
+}
+
+# entry point and argument -> (call on a value, the name its error gives the argument)
+POSITIVES = {
+    "PeriodSpec-period_samples": (lambda v: PeriodSpec(period_samples=v), "period_samples"),
+    "PeriodSpec-fault_freq_hz": (lambda v: PeriodSpec(fault_freq_hz=v, sample_rate_hz=12800.0),
+                                 "fault_freq_hz"),
+    "PeriodSpec-sample_rate_hz": (lambda v: PeriodSpec(fault_freq_hz=57.8, sample_rate_hz=v),
+                                  "sample_rate_hz"),
+    "TransientTrain-period_samples": (lambda v: TransientTrain(v), "period_samples"),
+    "TransientTrain-modulation_freq_hz": (
+        lambda v: TransientTrain(32.0, modulation_freq_hz=v, sample_rate_hz=100.0),
+        "modulation_freq_hz",
+    ),
+    "TransientTrain-sample_rate_hz": (lambda v: TransientTrain(32.0, sample_rate_hz=v),
+                                      "sample_rate_hz"),
+    "envelope_spectrum-fs": (lambda v: envelope_spectrum(SIGNAL, v), "sample rate fs"),
+    "envelope_spectrum-smooth_hz": (lambda v: envelope_spectrum(SIGNAL, 1000.0, smooth_hz=v),
+                                    "smooth_hz"),
+    "find_peaks-tol_hz": (lambda v: find_peaks(SPECTRUM, BAND, tol_hz=v), "tol_hz"),
+    "SolverConfig-tol": (lambda v: config(tol=v), "tol"),
+    "default_config-tol": (lambda v: default_config(SIGNAL, *PRIORS, tol=v), "tol"),
+    "pogs_solve-tol": (lambda v: pogs_solve(SIGNAL, MASK, 0.5, ABS, tol=v), "tol"),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0], ids=["fraction", "integral-float"])
+@pytest.mark.parametrize("entry", COUNTS)
+def test_float_count_is_a_type_error_naming_the_argument(entry, value):
+    call, name, _, _ = COUNTS[entry]
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got float$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_numpy_integer_count_is_accepted(entry):
+    call, _, _, good = COUNTS[entry]
+    call(np.int64(good))
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_count_below_its_least_value_is_refused_naming_the_argument(entry):
+    call, name, least, _ = COUNTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
+        call(least - 1)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan], ids=["zero", "negative", "inf",
+                                                                     "nan"])
+@pytest.mark.parametrize("entry", POSITIVES)
+def test_non_positive_or_non_finite_real_is_refused_naming_the_argument(entry, value):
+    call, name = POSITIVES[entry]
+    cause = f"{name} must be a finite positive real, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
+        call(value)

@@ -74,7 +74,7 @@ class TestCheckConvexity:
             check_convexity(3, 0.0, 0.1)
 
     @pytest.mark.parametrize("k0, a0, cause", [
-        (0, 0.1, "group size k0 must be >= 1, got 0"),
+        (0, 0.1, "k0 must be >= 1, got 0"),
         (3, -0.1, "concavity parameter a0 must be >= 0, got -0.1"),
     ], ids=["k0-0", "negative-a0"])
     def test_invalid_group_size_or_concavity(self, k0, a0, cause):
@@ -102,7 +102,7 @@ class TestConfigValidation:
             small_config(lam1=-0.1)
 
     def test_zero_group_size_rejected(self):
-        with pytest.raises(ValueError, match="^group size k0 must be >= 1, got 0$"):
+        with pytest.raises(ValueError, match="^k0 must be >= 1, got 0$"):
             small_config(k0=0)
 
     @pytest.mark.parametrize("k0", [2.5, 2.0], ids=["fraction", "integral-float"])
@@ -566,9 +566,9 @@ class TestPogs:
 
     @pytest.mark.parametrize("lam, settings, cause", [
         (0.5, {"max_iter": 0}, "max_iter must be >= 1, got 0"),
-        (0.5, {"tol": -1.0}, "tol must be finite and > 0, got -1.0"),
-        (0.5, {"tol": np.nan}, "tol must be finite and > 0, got nan"),
-        (0.5, {"tol": np.inf}, "tol must be finite and > 0, got inf"),
+        (0.5, {"tol": -1.0}, "tol must be a finite positive real, got -1.0"),
+        (0.5, {"tol": np.nan}, "tol must be a finite positive real, got nan"),
+        (0.5, {"tol": np.inf}, "tol must be a finite positive real, got inf"),
         (np.inf, {}, "lam must be a finite nonnegative real, got inf"),
     ], ids=["max-iter-0", "negative-tol", "nan-tol", "inf-tol", "infinite-lam"])
     def test_checks_settings_as_solver_config_does(self, lam, settings, cause):
