@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regularizers import _as_signal, _check_count, _check_positive
+from ._checks import _as_signal, _check_count, _check_positive
 
 
 def rmse(a, b) -> float:
@@ -94,9 +94,13 @@ def envelope_spectrum(x, fs: float, nfft: int | None = None, smooth_hz: float = 
             f"smooth_hz = {smooth_hz} spans a {width}-bin smoothing kernel, "
             f"wider than the {bins}-bin spectrum"
         )
-    env = np.abs(_analytic_signal(x))
-    env = env - env.mean()
-    magnitude = np.abs(np.fft.rfft(env, n=nfft))
+    # samples near the top of the double range overflow the transforms
+    with np.errstate(all="ignore"):
+        env = np.abs(_analytic_signal(x))
+        env = env - env.mean()
+        magnitude = np.abs(np.fft.rfft(env, n=nfft))
+    if not np.isfinite(magnitude).all():
+        raise ValueError(f"envelope spectrum of x overflows at largest |x| = {np.abs(x).max():.3g}")
     freqs = np.fft.rfftfreq(nfft, d=1.0 / fs)
     return EnvelopeSpectrum(
         freqs_hz=freqs,

@@ -18,10 +18,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import fileio
+from ._checks import _as_signal
 from .analysis import _rms, envelope_spectrum, find_peaks, rmse
 from .penalties import FAMILIES, PenaltySpec
 from .params import PeriodSpec, _config, _pogs_lam, build_weight_array, estimate_sigma
-from .regularizers import _as_signal
 from .solver import NumericalError, check_convexity, pogs_solve, rtea_solve
 from .synth import gen_mixture
 

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _as_signal, _check_count, _check_positive
 from .penalties import PenaltySpec
-from .regularizers import WeightArray, _as_signal, _check_count, _check_positive
+from .regularizers import WeightArray
 from .solver import SolverConfig, check_convexity
 
 # Regularization multiplier beta, indexed by [m - 1][n1 - 1].  The m = 1 row
@@ -130,18 +131,21 @@ def _median(a: np.ndarray) -> float:
 
 
 def estimate_sigma(y) -> float:
-    """Robust noise level: median absolute deviation scaled for Gaussians."""
+    """Robust noise level: median absolute deviation scaled for Gaussians.
+    It is inf, without a warning, where the deviations overflow the double
+    range; the weights it scales then refuse it."""
     y = _as_signal(y, "observation", min_size=2)
-    return _median(np.abs(y - _median(y))) * MAD_TO_SIGMA
+    with np.errstate(over="ignore"):
+        return _median(np.abs(y - _median(y))) * MAD_TO_SIGMA
 
 
 def _lambda_scale(sigma: float) -> float:
     """``sigma`` as the scale of the regularization weights: the one check,
     on every path, that the noise estimate can scale them."""
-    if not sigma > 0:
+    if not 0 < sigma < np.inf:
         raise ValueError(
-            f"noise estimate is {sigma}, which cannot scale the regularization "
-            "(the MAD estimate is zero when more than half of the samples are equal)"
+            f"noise estimate is {sigma}, which cannot scale the regularization (the MAD "
+            "estimate is 0 when over half of the samples are equal, and inf when it overflows)"
         )
     return sigma
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _check_nonnegative, _check_positive
+
 FAMILIES = ("abs", "log", "rat", "atan")
 
 
@@ -37,12 +39,10 @@ class PenaltySpec:
             raise ValueError(
                 f"unknown penalty family {self.family!r}, expected one of {FAMILIES}"
             )
-        if not 0 <= self.a < np.inf:
-            raise ValueError(f"concavity parameter a must be finite and >= 0, got {self.a}")
+        _check_nonnegative("a", self.a)
         if self.family == "abs" and self.a != 0:
             raise ValueError("'abs' penalty requires a == 0")
-        if not 0 < self.eps < np.inf:
-            raise ValueError(f"smoothing eps must be finite and > 0, got {self.eps}")
+        _check_positive("eps", self.eps)
 
 
 def _value_at(t, a, family):

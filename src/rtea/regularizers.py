@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._checks import _as_signal, _check_count
 from .penalties import PenaltySpec, _denom_at, _value_at
 
 
@@ -106,43 +107,6 @@ def _check_mask(b, n: int) -> None:
     length = b.m * b.period + b.n1
     if length > n:
         raise ValueError(f"mask length {length} exceeds signal length {n}")
-
-
-def _check_count(name: str, value, minimum: int = 1) -> None:
-    """The one check of every size, count and budget: ``value`` an integer
-    (a numpy integer is one; a float is not, even 3.0) of at least
-    ``minimum``.  Its errors call the argument ``name``."""
-    if not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
-def _check_positive(name: str, value) -> None:
-    """The one check of every rate, period and tolerance: ``value`` a finite
-    real > 0.  Its error calls the argument ``name``."""
-    if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be a finite positive real, got {value}")
-
-
-def _as_signal(x, name: str = "signal", min_size: int = 1) -> np.ndarray:
-    """The one check of every signal that enters the package: ``x`` as a 1-D
-    float array of at least ``min_size`` samples, all finite.  Its errors
-    call the argument ``name``."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D signal, got shape {x.shape}")
-    if x.size < min_size:
-        raise ValueError(f"{name} needs at least {min_size} samples, got {x.size}")
-    finite = np.isfinite(x)
-    if not finite.all():
-        bad = np.flatnonzero(~finite)
-        i = int(bad[0])
-        raise ValueError(
-            f"non-finite input: {name} contains non-finite samples ({bad.size} of "
-            f"{x.size}), the first {name}[{i}] = {x[i]}"
-        )
-    return x
 
 
 def _norms(b: WeightArray, x: np.ndarray, spec: PenaltySpec) -> np.ndarray:

@@ -33,11 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _as_signal, _check_count, _check_nonnegative, _check_positive
 from .penalties import PenaltySpec
-from .regularizers import (
-    WeightArray, _as_signal, _check_count, _check_mask, _check_positive, _norms, _penalty,
-    _weights,
-)
+from .regularizers import WeightArray, _check_mask, _norms, _penalty, _weights
 
 
 class NumericalError(RuntimeError):
@@ -54,13 +52,12 @@ def check_convexity(k0: int, lam0: float, a0: float) -> tuple[bool, float]:
     """Strict-convexity test for the coupling penalty's concavity parameter.
 
     Returns ``(a0 < bound, bound)`` with ``bound = 1 / (k0 * lam0)``.
-    Requires ``lam0 > 0``; the bound is meaningless otherwise.
+    Requires a finite ``lam0 > 0``, as the bound is meaningless otherwise,
+    and a finite ``a0 >= 0``.
     """
     _check_count("k0", k0)
-    if not lam0 > 0:
-        raise ValueError(f"convexity bound requires lam0 > 0, got {lam0}")
-    if a0 < 0:
-        raise ValueError(f"concavity parameter a0 must be >= 0, got {a0}")
+    _check_positive("lam0", lam0)
+    _check_nonnegative("a0", a0)
     bound = 1.0 / (k0 * lam0)
     return a0 < bound, bound
 
@@ -76,8 +73,7 @@ def _check_run(max_iter: int, tol: float, pens, **lams: float) -> None:
                 "only the coupling penalty may be non-convex"
             )
     for name, v in lams.items():
-        if not 0 <= v < np.inf:
-            raise ValueError(f"{name} must be a finite nonnegative real, got {v}")
+        _check_nonnegative(name, v)
     _check_count("max_iter", max_iter)
     _check_positive("tol", tol)
 
@@ -361,9 +357,8 @@ def pogs_solve(
     for the benchmark's adapter, which unpacks that tuple.
     """
     y = _as_signal(y, "observation")
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    _check_run(max_iter, tol, (spec,), lam=lam)
+    _check_positive("lam", lam)
+    _check_run(max_iter, tol, (spec,))
     norms_and_cost, update = _objective(y, ((lam, b, spec),), None)
     res = _mm(y, (y.copy(),), norms_and_cost, update, max_iter, tol)
     if full_output:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regularizers import _check_count, _check_positive
+from ._checks import _check_count, _check_nonnegative, _check_positive
 
 TWO_PI = 2.0 * np.pi
 # Low/high bounds of each transient's uniform draws, in draw order: the count
@@ -150,8 +150,7 @@ def gen_mixture(
     Child seeds for the two trains and the noise are derived from ``seed``,
     so the whole record is reproducible from one integer.
     """
-    if not 0 <= sigma < np.inf:
-        raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
+    _check_nonnegative("sigma", sigma)
     root = np.random.default_rng(seed)
     s1, s2, sn = (int(v) for v in root.integers(0, 2**63 - 1, size=3))
     common = dict(

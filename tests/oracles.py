@@ -18,10 +18,10 @@ from dataclasses import replace
 
 import numpy as np
 
+from rtea._checks import _as_signal
 from rtea.penalties import _value_at, majorizer_denom, smoothed_penalty
 from rtea.regularizers import (
     WeightArray,
-    _as_signal,
     combined_majorizer_weights,
     group_penalty,
     majorizer_weights,

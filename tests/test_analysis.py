@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -105,6 +106,15 @@ class TestEnvelopeSpectrum:
         with pytest.raises(ValueError,
                            match=f"smooth_hz must be a finite positive real, got {smooth_hz}"):
             envelope_spectrum(np.ones(100), 10.0, smooth_hz=smooth_hz)
+
+    @pytest.mark.parametrize("top", [1.6e308, 1e308])
+    def test_overflowing_spectrum_is_refused_without_a_warning(self, top):
+        # tier-1 turns numpy's overflow warning into an error
+        x = np.random.default_rng(3).normal(size=256)
+        x *= top / np.max(np.abs(x))
+        cause = f"envelope spectrum of x overflows at largest |x| = {top:.3g}"
+        with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
+            envelope_spectrum(x, 100.0)
 
 
 class TestScipyEquivalence:

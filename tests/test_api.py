@@ -154,6 +154,14 @@ def test_a_name_loads_only_its_module():
     assert not loaded & {"rtea.synth", "rtea.analysis"}
 
 
+@pytest.mark.parametrize("name", ["gen_mixture", "envelope_spectrum"])
+def test_a_leaf_name_loads_no_regularizer(name):
+    # the input rules live in a leaf module, so these need no penalty code
+    loaded = loaded_after(f"from rtea import {name}")
+    assert "rtea._checks" in loaded
+    assert not loaded & {"rtea.regularizers", "rtea.penalties"}
+
+
 def test_dir_lists_every_public_name():
     assert set(rtea.__all__) <= set(dir(rtea))
 

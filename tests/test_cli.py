@@ -430,7 +430,7 @@ class TestExtract:
     def test_infinite_lam_is_usage_error(self, generated, tmp_path, capsys):
         assert run(["extract", generated / "signal.csv", "--mode", "pogs", "--period1", 32,
                     "--lam", "inf", "--out", tmp_path / "x"]) == 2
-        assert "lam must be a finite nonnegative real, got inf" in capsys.readouterr().err
+        assert "lam must be a finite positive real, got inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, cause", [
         ("y,w\n0.1,0.2\n0.3\n", "row 2 has 1 fields, expected 2"),
@@ -517,8 +517,8 @@ def extract_with_config(generated, tmp_path, cfg, *flags, name="cfg"):
     ("analyze", ["--fs", 12800, "--band", "nan", 100],
      "band_hz must not have a NaN edge, got (nan, 100.0)"),
     ("generate", ["--t1", "inf"], "period_samples must be a finite positive real, got inf"),
-    ("generate", ["--sigma", "nan"], "sigma must be >= 0 and finite, got nan"),
-    ("generate", ["--sigma", "inf"], "sigma must be >= 0 and finite, got inf"),
+    ("generate", ["--sigma", "nan"], "sigma must be a finite nonnegative real, got nan"),
+    ("generate", ["--sigma", "inf"], "sigma must be a finite nonnegative real, got inf"),
     ("generate", ["--modulation-freq", "inf", "--fs", 100],
      "modulation_freq_hz must be a finite positive real, got inf"),
     ("generate", ["--modulation-freq", 6, "--fs", "nan"],
@@ -1028,6 +1028,46 @@ def test_rms_of_a_huge_component_is_finite(tmp_path):
     assert rms == pytest.approx(1e160 * float(np.sqrt(np.mean(x * x))), rel=1e-12)
 
 
+def write_maxed(path):
+    """A 256-sample record and its truth at +-1.5e308: its MAD overflows."""
+    mix = gen_mixture(n_samples=256, t1=16, t2=27, seed=0)
+    write_columns_csv(str(path), {"y": 1.5e308 * np.sign(mix.y),
+                                  "x1_true": 1.5e308 * np.sign(mix.x1),
+                                  "x2_true": 1.5e308 * np.sign(mix.x2)})
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("extract", []), ("extract", ["--mode", "pogs"]), ("extract", ["--eta", 0]),
+    ("bench-eta", []),
+], ids=["extract-rtea", "extract-pogs", "extract-mca", "bench-eta"])
+def test_overflowing_noise_estimate_is_usage_error(tmp_path, capsys, command, flags):
+    write_maxed(tmp_path / "maxed.csv")
+    out = tmp_path / "x"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([command, tmp_path / "maxed.csv", "--period1", 16, "--period2", 27,
+                    "--max-iter", 2, *flags, "--out", out])
+    assert (code, caught) == (2, [])
+    assert capsys.readouterr().err.startswith(
+        "error: noise estimate is inf, which cannot scale the regularization")
+    assert not out.exists()
+
+
+def test_overflowing_envelope_spectrum_is_usage_error(tmp_path, capsys):
+    mix = gen_mixture(seed=0)
+    write_columns_csv(str(tmp_path / "c.csv"),
+                      {name: 1.6e308 / np.max(np.abs(x)) * x for name, x in
+                       (("x1", mix.x1), ("x2", mix.x2))})
+    out = tmp_path / "a"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["analyze", tmp_path / "c.csv", "--fs", 100, "--out", out])
+    assert (code, caught) == (2, [])
+    cause = "envelope spectrum of x overflows at largest |x| = 1.6e+308"
+    assert capsys.readouterr().err == f"error: {cause}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, callee, args", [
     ("generate", "gen_mixture", ["--n", 10**14]),
     ("analyze", "envelope_spectrum", ["signal.csv", "--fs", 12800, "--nfft", 10**11]),
@@ -1175,9 +1215,9 @@ FUZZ = {
                   {**SOLVE, "--etas": EDGE + ["0.2,0.8", "0.5,1e-300"]}),
 }
 # the inputs each command may be given, by name; missing.csv is never written
-FUZZ_INPUTS = {"generate": [None], "extract": ["signal", "components", "missing"],
-               "analyze": ["components", "signal", "huge", "missing"],
-               "bench-eta": ["signal", "components", "missing"]}
+FUZZ_INPUTS = {"generate": [None], "extract": ["signal", "components", "maxed", "missing"],
+               "analyze": ["components", "signal", "huge", "maxed", "missing"],
+               "bench-eta": ["signal", "components", "maxed", "missing"]}
 
 
 @st.composite
@@ -1202,6 +1242,8 @@ def fuzz_inputs(tmp_path_factory):
     write_columns_csv(str(root / "components.csv"), {"index": index, "x1": mix.x1, "x2": mix.x2})
     # its squares overflow, and its rms must still come out finite
     write_columns_csv(str(root / "huge.csv"), {"index": index, "x1": 1e160 * mix.x1})
+    # at the top of the double range: its noise estimate and spectrum overflow
+    write_maxed(root / "maxed.csv")
     return root
 
 
@@ -1209,8 +1251,9 @@ def fuzz_inputs(tmp_path_factory):
 # regression cases: an unbounded harmonic search (also through a huge
 # tolerance), a numpy overflow warning at a tiny eta, an error blaming the
 # concavity for a subnormal eta, an rms whose squares overflow, a bad
-# second period found only after allocating a huge first train, and a pogs
-# weight whose start cost overflows
+# second period found only after allocating a huge first train, a pogs
+# weight whose start cost overflows, and a noise estimate and a spectrum
+# that overflow
 @example(case=("analyze", "components", {"--fs": "100", "--n-harmonics": "100000000"}))
 @example(case=("analyze", "components", {"--fs": "100", "--n-harmonics": "100000000",
                                          "--tol-hz": "100000000"}))
@@ -1224,6 +1267,10 @@ def fuzz_inputs(tmp_path_factory):
 @example(case=("generate", None, {"--n": "1000000000000000000", "--t1": "16", "--t2": "nan"}))
 @example(case=("extract", "signal", {"--mode": "pogs", "--period1": "16", "--period2": "27",
                                      "--max-iter": "2", "--lam": "1e308"}))
+@example(case=("extract", "maxed", {"--period1": "16", "--period2": "27", "--max-iter": "2"}))
+@example(case=("extract", "maxed", {"--mode": "pogs", "--period1": "16", "--period2": "27",
+                                    "--max-iter": "2"}))
+@example(case=("analyze", "maxed", {"--fs": "100"}))
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_fuzzed_flags_exit_with_a_documented_code(fuzz_inputs, case):
     command, source, flags = case

@@ -155,6 +155,11 @@ class TestChooseLambdas:
         with pytest.raises(ValueError):
             _choose_lambdas(0.5, 1.0, 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_infinite_sigma_is_refused_as_the_noise_estimate(self, eta):
+        with pytest.raises(ValueError, match="^noise estimate is inf, which cannot scale"):
+            _choose_lambdas(eta, 1.0, 1.0, 1.0, np.inf)
+
 
 class TestEstimateSigma:
     def test_small_example(self):
@@ -169,6 +174,11 @@ class TestEstimateSigma:
         rng = np.random.default_rng(1)
         y = rng.normal(0.0, 2.0, size=100_000)
         assert estimate_sigma(y) == pytest.approx(2.0, rel=0.05)
+
+    def test_overflowing_deviations_give_inf_without_a_warning(self):
+        # tier-1 turns numpy's overflow warning into an error
+        y = np.array([1.7e308, 1.7e308, -1.7e308, -1.7e308, 0.0] * 20)
+        assert estimate_sigma(y) == np.inf
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

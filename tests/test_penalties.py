@@ -27,7 +27,8 @@ class TestSpecValidation:
     def test_negative_a_rejected(self):
         for family in ("log", "rat", "atan"):
             for a in (-0.1, np.inf, np.nan):
-                with pytest.raises(ValueError, match="a must be finite and >= 0"):
+                cause = f"a must be a finite nonnegative real, got {a}"
+                with pytest.raises(ValueError, match=cause):
                     PenaltySpec(family, a=a)
 
     def test_abs_with_positive_a_rejected(self):
@@ -36,7 +37,7 @@ class TestSpecValidation:
 
     def test_nonpositive_eps_rejected(self):
         for eps in (0.0, -1e-3, np.inf, np.nan):
-            with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            with pytest.raises(ValueError, match=f"eps must be a finite positive real, got {eps}"):
                 PenaltySpec("abs", eps=eps)
 
     def test_unknown_family_rejected(self):

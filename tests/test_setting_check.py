@@ -1,12 +1,15 @@
 """Every public entry point that takes a size, count or budget checks it
-by one rule, and every one that takes a rate, period or tolerance by
-another.
+by one rule, every one that takes a rate, period, tolerance, smoothing or
+weight that must not vanish by a second, and every one that takes a
+weight, concavity or noise level that may be 0 by a third.
 
-A count passes ``regularizers._check_count``: an integer (a numpy integer
-is one; a float is not, even 3.0) of at least its least value, or a
-``TypeError`` or ``ValueError`` naming the argument.  A rate, period or
-tolerance passes ``regularizers._check_positive``: a finite real > 0, or
-``<name> must be a finite positive real, got <v>``.
+A count passes ``_checks._check_count``: an integer (a numpy integer is
+one; a bool is not, nor is a float, even 3.0) of at least its least value,
+or a ``TypeError`` or ``ValueError`` naming the argument.  A positive
+setting passes ``_checks._check_positive``: a finite real > 0, or
+``<name> must be a finite positive real, got <v>``.  A nonnegative one
+passes ``_checks._check_nonnegative``: a finite real >= 0, or
+``<name> must be a finite nonnegative real, got <v>``.
 """
 
 import re
@@ -94,6 +97,19 @@ POSITIVES = {
     "SolverConfig-tol": (lambda v: config(tol=v), "tol"),
     "default_config-tol": (lambda v: default_config(SIGNAL, *PRIORS, tol=v), "tol"),
     "pogs_solve-tol": (lambda v: pogs_solve(SIGNAL, MASK, 0.5, ABS, tol=v), "tol"),
+    "PenaltySpec-eps": (lambda v: PenaltySpec("abs", eps=v), "eps"),
+    "pogs_solve-lam": (lambda v: pogs_solve(SIGNAL, MASK, v, ABS), "lam"),
+    "check_convexity-lam0": (lambda v: check_convexity(2, v, 0.0), "lam0"),
+}
+
+# entry point and argument -> (call on a value, the name its error gives the argument)
+NONNEGATIVES = {
+    "PenaltySpec-a": (lambda v: PenaltySpec("atan", a=v), "a"),
+    "SolverConfig-lam0": (lambda v: config(lam0=v), "lam0"),
+    "SolverConfig-lam1": (lambda v: config(lam1=v), "lam1"),
+    "SolverConfig-lam2": (lambda v: config(lam2=v), "lam2"),
+    "check_convexity-a0": (lambda v: check_convexity(2, 1.0, v), "a0"),
+    "gen_mixture-sigma": (lambda v: gen_mixture(n_samples=N, sigma=v), "sigma"),
 }
 
 
@@ -103,6 +119,13 @@ def test_float_count_is_a_type_error_naming_the_argument(entry, value):
     call, name, _, _ = COUNTS[entry]
     with pytest.raises(TypeError, match=f"^{name} must be an integer, got float$"):
         call(value)
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_bool_count_is_a_type_error_naming_the_argument(entry):
+    call, name, _, _ = COUNTS[entry]
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got bool$"):
+        call(True)
 
 
 @pytest.mark.parametrize("entry", COUNTS)
@@ -126,3 +149,18 @@ def test_non_positive_or_non_finite_real_is_refused_naming_the_argument(entry, v
     cause = f"{name} must be a finite positive real, got {value}"
     with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
         call(value)
+
+
+@pytest.mark.parametrize("value", [-1.0, np.inf, np.nan], ids=["negative", "inf", "nan"])
+@pytest.mark.parametrize("entry", NONNEGATIVES)
+def test_negative_or_non_finite_real_is_refused_naming_the_argument(entry, value):
+    call, name = NONNEGATIVES[entry]
+    cause = f"{name} must be a finite nonnegative real, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", NONNEGATIVES)
+def test_zero_is_accepted_where_a_setting_may_be_zero(entry):
+    call, _ = NONNEGATIVES[entry]
+    call(0.0)

@@ -1,6 +1,6 @@
 """Every public entry point that takes a signal checks it the same way.
 
-A signal enters the package through one check (``regularizers._as_signal``),
+A signal enters the package through one check (``_checks._as_signal``),
 so a non-finite sample is refused wherever it is passed, with a message that
 names the argument and the first bad index, and no later stage (the noise
 estimate, the spectrum, the peak search) sees it.

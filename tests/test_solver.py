@@ -75,7 +75,7 @@ class TestCheckConvexity:
 
     @pytest.mark.parametrize("k0, a0, cause", [
         (0, 0.1, "k0 must be >= 1, got 0"),
-        (3, -0.1, "concavity parameter a0 must be >= 0, got -0.1"),
+        (3, -0.1, "a0 must be a finite nonnegative real, got -0.1"),
     ], ids=["k0-0", "negative-a0"])
     def test_invalid_group_size_or_concavity(self, k0, a0, cause):
         with pytest.raises(ValueError, match=f"^{cause}$"):
@@ -569,7 +569,7 @@ class TestPogs:
         (0.5, {"tol": -1.0}, "tol must be a finite positive real, got -1.0"),
         (0.5, {"tol": np.nan}, "tol must be a finite positive real, got nan"),
         (0.5, {"tol": np.inf}, "tol must be a finite positive real, got inf"),
-        (np.inf, {}, "lam must be a finite nonnegative real, got inf"),
+        (np.inf, {}, "lam must be a finite positive real, got inf"),
     ], ids=["max-iter-0", "negative-tol", "nan-tol", "inf-tol", "infinite-lam"])
     def test_checks_settings_as_solver_config_does(self, lam, settings, cause):
         with pytest.raises(ValueError, match=cause):

@@ -156,5 +156,6 @@ class TestMixture:
 
     def test_negative_sigma_rejected(self):
         for sigma in (-0.1, np.inf, np.nan):
-            with pytest.raises(ValueError, match=f"sigma must be >= 0 and finite, got {sigma}"):
+            cause = f"sigma must be a finite nonnegative real, got {sigma}"
+            with pytest.raises(ValueError, match=cause):
                 gen_mixture(sigma=sigma)
