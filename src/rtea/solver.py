@@ -4,10 +4,13 @@ components from a noisy observation.
 The objective couples a quadratic data term with three regularizers: a
 group penalty on the sum of the components (which may be non-convex within
 the convexity bound) and one periodic-mask group penalty per component.
-Each map evaluation minimizes a separable quadratic majorizer of the
-objective, and the loop extrapolates along its slow directions (SQUAREM,
-with an adaptive bound on the step length) only where that does not raise
-the cost, so the cost is guaranteed nonincreasing.
+Each map evaluation minimizes a quadratic majorizer of the objective
+exactly: it majorizes the regularizers and keeps the data term, so the
+components couple only within each sample, and the step is a closed-form
+2x2 solve per sample (the non-separable MM of Figueiredo, Bioucas-Dias &
+Nowak, IEEE TIP 16(12), 2007).  The loop extrapolates along its slow
+directions (SQUAREM, with an adaptive bound on the step length) only where
+that does not raise the cost, so the cost is guaranteed nonincreasing.
 
 The iteration exists once, in :func:`_mm`: it owns the acceleration, the
 cost history, the non-finite guard and the stop rule, and builds the one
@@ -183,9 +186,10 @@ def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> Decompositi
     included, must be finite, or it raises :class:`NumericalError` naming
     the iteration.  The whole loop ignores numpy's floating-point errors,
     so it emits no numpy warnings: an overflow either rounds to its correct
-    limit (an infinite majorizer denominator gives a weight of 0) or shows
-    up as a non-finite cost.  The result's residual is ``y`` minus the
-    components, subtracted in order.
+    limit (an infinite majorizer denominator gives a weight of 0, an
+    infinite weight a component of 0) or shows up as a non-finite cost.
+    The result's residual is ``y`` minus the components, subtracted in
+    order.
     """
     costs = []
 
@@ -258,9 +262,6 @@ def _objective(y: np.ndarray, groups, coupling):
         lam0, k0, pen0 = coupling
         b0 = WeightArray.ones(k0)
         _check_mask(b0, n)
-    # y with each -0.0 made +0.0: y_pos - t*(x0 - x1) is then y + t*(x1 - x0)
-    # bit for bit, also where x0 == x1 and y holds -0.0
-    y_pos = y + 0.0
 
     def norms_and_cost(*xs):
         both = xs[0] if len(xs) == 1 else xs[0] + xs[1]
@@ -276,35 +277,67 @@ def _objective(y: np.ndarray, groups, coupling):
         return (norms, u0), total + reg
 
     def update(all_norms, *xs):
-        # the majorizer is separable per sample: one elementwise division per component
-        # in place, each product and sum the same IEEE operation as in
-        # t = 1 + lam0*w0, p = k*t + lam*w and q_i = y + t*(x_i - x_j)
+        # the exact minimizer of the majorizer, which keeps the data term and
+        # so couples the components only within each sample.  With p_i =
+        # lam_i*w_i, one component takes y/(1 + p1); two solve [[t + p1, t],
+        # [t, t + p2]] x = [y, y] with t = 1 + lam0*w0: x1 = p2*g and x2 =
+        # p1*g for g = y/D, D = t*(p1 + p2) + p1*p2, all in place
         norms, u0 = all_norms
+        ps = []
+        for u, (lam, b, pen) in zip(norms, groups):
+            p = _weights(b, u, n, pen)
+            p *= lam
+            ps.append(p)
+        if len(xs) == 1:
+            p = ps[0]
+            p += 1.0
+            return [np.divide(y, p, out=p)]
         t = 1.0
         if coupling is not None:
             t = _weights(b0, u0, n, pen0)
             t *= lam0
             t += 1.0
-        kt = len(xs) * t
-        ps = []
-        for u, (lam, b, pen) in zip(norms, groups):
-            p = _weights(b, u, n, pen)
-            p *= lam
-            p += kt
-            ps.append(p)
-        if len(xs) == 1:
-            qs = [y]
-        else:
-            d = xs[0] - xs[1]
-            d *= t
-            q1 = y_pos - d
-            d += y
-            qs = [d, q1]
-        for q, p in zip(qs, ps):
-            np.divide(q, p, out=p)
-        return ps
+        p1, p2 = ps
+        d = p1 + p2
+        d *= t
+        g = p1 * p2
+        d += g
+        np.divide(y, d, out=g)
+        # d*g is y wherever D is finite and nonzero and y/D does not
+        # overflow, so one reduction finds every sample where the closed
+        # form fails; its sum overflowing only sends finite samples there too
+        edge = None
+        if not math.isfinite(np.einsum("i,i->", d, g)):
+            edge = ~np.isfinite(d * g)
+            y_e, t_e = y[edge], np.broadcast_to(t, n)[edge]
+            p1_e, p2_e, x1_e, x2_e = (v[edge] for v in (p1, p2, *xs))
+            x1_edge = _edge_step(y_e, t_e, p1_e, p2_e, x1_e, x2_e)
+            x2_edge = _edge_step(y_e, t_e, p2_e, p1_e, x2_e, x1_e)
+        p2 *= g
+        p1 *= g
+        if edge is not None:
+            p2[edge] = x1_edge
+            p1[edge] = x2_edge
+        return [p2, p1]
 
     return norms_and_cost, update
+
+
+def _edge_step(y, t, p_i, p_j, x_i, x_j):
+    """Component i of the two-component step at samples where the closed
+    form fails.  Where ``p_i = p_j = 0`` the majorizer is flat along
+    ``x1 - x2``: the step takes the point of ``x1 + x2 = y/t`` nearest the
+    iterate ``(x_i, x_j)``.  Elsewhere a weight, ``D`` or ``y/D`` has
+    overflowed, and ``y/(t + p_i + t*p_i/p_j)``, the closed form divided
+    through by ``p_j`` with ``p_i/p_j`` taken as 1 where the two are equal,
+    gives the limit: 0 where ``p_i`` is inf, and ``y/(t + p_i)`` where
+    ``p_j`` is inf.  The same function of ``(i, j)`` for both components,
+    so a 1<->2 swap swaps the result bit for bit."""
+    ratio = np.divide(p_i, p_j, out=np.ones_like(p_i), where=p_i != p_j)
+    x = y / (t + p_i + t * ratio)
+    flat = (p_i == 0) & (p_j == 0)
+    x[flat] = ((y + t * (x_i - x_j)) / (2.0 * t))[flat]
+    return x
 
 
 def _resolve_init(y, init):
@@ -312,6 +345,8 @@ def _resolve_init(y, init):
         return y.copy(), y.copy()
     if isinstance(init, str):
         raise ValueError(f"init must be None or a pair of arrays, got {init!r}")
+    if len(init) != 2:
+        raise ValueError(f"init must be None or a pair of arrays, got {len(init)} arrays")
     x1, x2 = (_as_signal(x, "init").copy() for x in init)
     if x1.size != y.size or x2.size != y.size:
         raise ValueError("init components must match the observation length")

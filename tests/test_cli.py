@@ -6,9 +6,11 @@ import inspect
 import io
 import json
 import os
+import sys
 import tempfile
 import warnings
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ from rtea.params import PeriodSpec, default_config, estimate_sigma
 from rtea.penalties import FAMILIES
 from rtea.solver import SolverConfig, pogs_solve, rtea_solve
 from rtea.synth import gen_mixture
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run(args):
@@ -773,17 +778,38 @@ class TestBenchEta:
         out = tmp_path / "sweep"
         etas = [0.5, 0.1, 0.2]
         assert run(["bench-eta", out_gen / "signal.csv", "--period1", 32, "--period2", 53,
-                    "--etas", ",".join(map(str, etas)), "--max-iter", 3, "--penalty", "log",
-                    "--tol", 0.1, "--out", out]) == 0
+                    "--etas", ",".join(map(str, etas)), "--max-iter", 9, "--penalty", "log",
+                    "--tol", 0.001, "--out", out]) == 0
         record = json.loads((out / "eta_sweep.json").read_text())
-        assert (record["penalty"], record["max_iter"], record["tol"]) == ("log", 3, 0.1)
+        assert (record["penalty"], record["max_iter"], record["tol"]) == ("log", 9, 0.001)
         # each eta's map evaluations and whether it converged, in --etas order
         y = read_columns_csv(str(out_gen / "signal.csv"))["y"]
         specs = [PeriodSpec(period_samples=t) for t in (32, 53)]
-        solves = [rtea_solve(y, default_config(y, *specs, eta, 0.5, "log", 3, 0.1))
+        solves = [rtea_solve(y, default_config(y, *specs, eta, 0.5, "log", 9, 0.001))
                   for eta in etas]
         assert record["iterations"] == [res.iterations for res in solves]
         assert record["converged"] == [res.converged for res in solves] == [False, True, True]
+
+    def test_every_default_eta_converges_on_a_benchmark_record(self, tmp_path, monkeypatch):
+        # an eta's RMSE is that of its optimum only if its solve converges,
+        # so every default eta must converge within the default budget.
+        # bench/workloads is imported as the benchmark does, and forgotten after
+        monkeypatch.syspath_prepend(str(BENCH))
+        sys.modules.pop("workloads", None)
+        try:
+            from workloads import WORKLOADS, make_record
+
+            rec = make_record(WORKLOADS["quickstart-1k"], 0)
+        finally:
+            sys.modules.pop("workloads", None)
+        write_columns_csv(str(tmp_path / "y.csv"),
+                          {"y": rec.y, "x1_true": rec.truth[0], "x2_true": rec.truth[1]})
+        out = tmp_path / "sweep"
+        assert run(["bench-eta", tmp_path / "y.csv", "--period1", 32, "--period2", 53,
+                    "--out", out]) == 0
+        record = json.loads((out / "eta_sweep.json").read_text())
+        assert record["max_iter"] == 200 and len(record["etas"]) == 9
+        assert record["converged"] == [True] * 9
 
     def test_requires_truth(self, tmp_path):
         n = 128

@@ -26,12 +26,14 @@ from rtea.analysis import rmse
 from oracles import (
     analytic_gradient,
     combined_majorizer_gap,
+    combined_weights_loops,
     cost_loops,
     dense_mask,
     group_penalty_loops,
     mm_cost,
     mm_step,
     squarem_cycle,
+    weights_loops,
 )
 
 ABS = PenaltySpec("abs")
@@ -161,6 +163,14 @@ def cost_part_floor(n, k, spec):
     return (n + k - 1) * float(smoothed_penalty(0.0, spec))
 
 
+def loop_weights(x1, x2, cfg):
+    """``(t, p1, p2)`` of the step at ``(x1, x2)``, from the loop oracles."""
+    t = 1.0 + cfg.lam0 * combined_weights_loops(x1 + x2, cfg.k0, cfg.pen0)
+    p1 = cfg.lam1 * weights_loops(x1, dense_mask(cfg.b1), cfg.pen1)
+    p2 = cfg.lam2 * weights_loops(x2, dense_mask(cfg.b2), cfg.pen2)
+    return t, p1, p2
+
+
 class TestStep:
     def test_zero_fixed_point(self):
         cfg = small_config()
@@ -187,6 +197,53 @@ class TestStep:
         cfg = small_config(b2=WeightArray(3, 8, 2), lam2=0.2)
         x1, x2, _ = mm_step(y, y, y, cfg)
         np.testing.assert_array_equal(x1, x2)
+
+    def test_matches_per_sample_2x2_solve(self):
+        # the step minimizes the majorizer exactly: per sample it solves
+        # [[t + p1, t], [t, t + p2]] x = [y, y], p_i = lam_i*w_i, t = 1 + lam0*w0
+        rng = np.random.default_rng(30)
+        cfg = small_config()
+        for _ in range(5):
+            y, x1, x2 = rng.normal(size=(3, 48))
+            s1, s2, _ = mm_step(y, x1, x2, cfg)
+            t, p1, p2 = loop_weights(x1, x2, cfg)
+            a = np.stack([np.stack([t + p1, t], -1), np.stack([t, t + p2], -1)], -2)
+            want = np.linalg.solve(a, np.stack([y, y], -1)[..., None])[..., 0]
+            np.testing.assert_allclose(s1, want[:, 0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(s2, want[:, 1], rtol=1e-12, atol=0)
+
+    def test_flat_majorizer_steps_to_nearest_point(self):
+        # lam1 = lam2 = 0 leaves the 2x2 system singular (D = 0): the step
+        # takes the point of x1 + x2 = y/t nearest the iterate
+        rng = np.random.default_rng(31)
+        y, x1, x2 = rng.normal(size=(3, 48))
+        cfg = small_config(lam1=0.0, lam2=0.0)
+        s1, s2, (before, after) = mm_step(y, x1, x2, cfg)
+        t, _, _ = loop_weights(x1, x2, cfg)
+        np.testing.assert_allclose(s1, (y + t * (x1 - x2)) / (2 * t), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(s2, (y - t * (x1 - x2)) / (2 * t), rtol=1e-12, atol=0)
+        assert after <= before
+
+    def test_infinite_weight_takes_its_limit(self):
+        # x1 held at 0 over samples 60..139 makes lam1*w1 overflow to inf
+        # there: x1 is then 0 and x2 = y/(t + p2), where y*p2/D would be
+        # inf/inf.  Elsewhere the weights stay finite and the closed form holds
+        rng = np.random.default_rng(32)
+        y, x1, x2 = rng.normal(size=(3, 200))
+        x1[60:140] = 0.0
+        cfg = small_config(lam1=1e305)
+        s1, s2, (before, after) = mm_step(y, x1, x2, cfg)
+        with np.errstate(over="ignore"):
+            t, p1, p2 = loop_weights(x1, x2, cfg)
+        inf = np.isinf(p1)
+        assert 0 < inf.sum() < 200
+        assert np.all(s1[inf] == 0.0)
+        np.testing.assert_allclose(s2[inf], (y / (t + p2))[inf], rtol=1e-12, atol=0)
+        y, t, p1, p2 = (v[~inf] for v in (y, t, p1, p2))
+        d = t * (p1 + p2) + p1 * p2
+        np.testing.assert_allclose(s1[~inf], y * p2 / d, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(s2[~inf], y * p1 / d, rtol=1e-12, atol=0)
+        assert np.isfinite(after) and after <= before
 
 
 class TestSolve:
@@ -249,13 +306,13 @@ class TestSolve:
         # max_iter = k is k map evaluations: whole SQUAREM cycles of three,
         # then the plain steps of a cycle the budget cuts short.  Each solve
         # starts with the step bound at 1, as the oracle's window does.  The
-        # start is nine cycles in, where the window's three cycles are
+        # start is three cycles in, where the window's three cycles are
         # clamped and kept twice (bound 1 -> 4 -> 16), then clamped and
         # rejected, holding the second plain step (16 -> 4)
         mix = gen_mixture(n_samples=200, seed=22, sigma=0.5, t1=20, t2=33)
         cfg = small_config(b1=WeightArray(2, 18, 2), b2=WeightArray(2, 31, 2), tol=1e-15)
         start, step_max = (mix.y, mix.y), 1.0
-        for _ in range(9):
+        for _ in range(3):
             *start, _, _, step_max = squarem_cycle(mix.y, *start, cfg, step_max)
         for k in range(1, 11):
             res = rtea_solve(mix.y, replace(cfg, max_iter=k), init=start)
@@ -300,8 +357,8 @@ class TestSolve:
         np.testing.assert_array_equal(res.cost_history, res_s.cost_history)
 
     def test_swap_symmetry_keeps_signed_zeros(self):
-        # where y holds -0.0 the components start equal; each q_i = y +
-        # t*(x_i - x_j) is then +0.0, where y - t*(x_j - x_i) would give -0.0
+        # where y holds -0.0 both components take p_j*(y/D) = -0.0, and D =
+        # t*(p1 + p2) + p1*p2 is the same sum and product either way round
         mix = gen_mixture(n_samples=200, seed=10, sigma=0.5, t1=20, t2=33)
         y = mix.y.copy()
         y[::7] = -0.0
@@ -366,6 +423,14 @@ class TestSolve:
             with pytest.raises(ValueError, match="init must be None or a pair of arrays"):
                 rtea_solve(np.zeros(30), small_config(), init=init)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_init_of_wrong_length_rejected(self, k):
+        y = np.zeros(30)
+        with pytest.raises(
+            ValueError, match=rf"^init must be None or a pair of arrays, got {k} arrays$"
+        ):
+            rtea_solve(y, small_config(), init=(y,) * k)
+
     def test_mask_longer_than_signal_rejected(self):
         with pytest.raises(ValueError, match="mask length 25 exceeds signal length 20"):
             rtea_solve(np.zeros(20), small_config())
@@ -379,6 +444,19 @@ class TestNumericalRule:
         cfg = small_config(b1=WeightArray(2, 18, 2), b2=WeightArray(2, 31, 2))
         with pytest.raises(NumericalError, match="non-finite at iteration 0$"):
             rtea_solve(y, cfg)
+
+    def test_overflowing_component_weight_gives_zero_component(self):
+        # lam1*w1 overflows to inf once x1 has shrunk: the step takes its
+        # limit x1 = 0 there, where y*p2/D would be NaN and the cost non-finite
+        y = gen_mixture(n_samples=200, seed=10, sigma=0.5, t1=20, t2=33).y
+        b1, b2 = WeightArray(2, 18, 2), WeightArray(3, 30, 2)
+        res = rtea_solve(y, SolverConfig(1.0, 1e305, 0.3, ABS, ABS, ABS, 3, b1, b2))
+        assert np.all(np.isfinite(res.cost_history)) and np.all(np.isfinite(res.x2))
+        assert np.all(res.x1 == 0.0)
+        # the limit is the same function of (i, j) for both components
+        res_s = rtea_solve(y, SolverConfig(1.0, 0.3, 1e305, ABS, ABS, ABS, 3, b2, b1))
+        assert res_s.x2.tobytes() == res.x1.tobytes()
+        assert res_s.x1.tobytes() == res.x2.tobytes()
 
     def test_overflowing_weight_raises(self):
         y = np.random.default_rng(4).normal(size=128)
