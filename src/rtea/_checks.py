@@ -38,16 +38,25 @@ def _check_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _refuse_bool(name: str, value) -> None:
+    # a bool compares as 0 or 1, but it is not a real
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+
+
 def _check_positive(name: str, value) -> None:
     """The one check of every rate, period, tolerance, smoothing and weight
-    that must not vanish: ``value`` a finite real > 0.  Its error calls the
-    argument ``name``."""
+    that must not vanish: ``value`` a finite real > 0 (a bool is not one).
+    Its errors call the argument ``name``."""
+    _refuse_bool(name, value)
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be a finite positive real, got {value}")
 
 
 def _check_nonnegative(name: str, value) -> None:
     """The one check of every weight, concavity and noise level that may be
-    0: ``value`` a finite real >= 0.  Its error calls the argument ``name``."""
+    0: ``value`` a finite real >= 0 (a bool is not one).  Its errors call
+    the argument ``name``."""
+    _refuse_bool(name, value)
     if not 0 <= value < np.inf:
         raise ValueError(f"{name} must be a finite nonnegative real, got {value}")

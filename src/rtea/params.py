@@ -95,6 +95,8 @@ def build_weight_array(spec: PeriodSpec) -> WeightArray:
 
 def beta_lookup(n1: int, m: int) -> float:
     """Tabulated regularization multiplier; no extrapolation outside 1..4."""
+    _check_count("n1", n1)
+    _check_count("m", m)
     if not (1 <= n1 <= 4 and 1 <= m <= 4):
         raise ValueError(
             f"beta table covers n1, m in 1..4 only, got n1={n1}, m={m}"

@@ -9,7 +9,7 @@ exactly: it majorizes the regularizers and keeps the data term, so the
 components couple only within each sample, and the step is a closed-form
 2x2 solve per sample (the non-separable MM of Figueiredo, Bioucas-Dias &
 Nowak, IEEE TIP 16(12), 2007).  The loop extrapolates along its slow
-directions (SQUAREM, with an adaptive bound on the step length) only where
+directions (SQUAREM, with a fixed bound on the step length) only where
 that does not raise the cost, so the cost is guaranteed nonincreasing.
 
 The iteration exists once, in :func:`_mm`: it owns the acceleration, the
@@ -41,6 +41,11 @@ from .penalties import PenaltySpec
 from .regularizers import WeightArray, _check_mask, _norms, _penalty, _weights
 
 
+# The bound on the SQUAREM step length |alpha|, the same in every cycle:
+# unbounded, the extrapolations overshoot and are rejected in streaks.
+STEP_MAX = 8.0
+
+
 class NumericalError(RuntimeError):
     """Raised when the iteration produces a non-finite cost."""
 
@@ -54,15 +59,17 @@ def _half_sq_norm(r: np.ndarray) -> float:
 def check_convexity(k0: int, lam0: float, a0: float) -> tuple[bool, float]:
     """Strict-convexity test for the coupling penalty's concavity parameter.
 
-    Returns ``(a0 < bound, bound)`` with ``bound = 1 / (k0 * lam0)``.
-    Requires a finite ``lam0 > 0``, as the bound is meaningless otherwise,
-    and a finite ``a0 >= 0``.
+    Returns ``(a0 == 0 or a0 < bound, bound)`` with ``bound = 1 / (k0 *
+    lam0)``: ``a0 = 0`` is a convex penalty, so it passes even where
+    ``k0 * lam0`` overflows and the bound rounds to 0.  Requires a finite
+    ``lam0 > 0``, as the bound is meaningless otherwise, and a finite
+    ``a0 >= 0``.
     """
     _check_count("k0", k0)
     _check_positive("lam0", lam0)
     _check_nonnegative("a0", a0)
     bound = 1.0 / (k0 * lam0)
-    return a0 < bound, bound
+    return a0 == 0 or a0 < bound, bound
 
 
 def _check_run(max_iter: int, tol: float, pens, **lams: float) -> None:
@@ -156,24 +163,19 @@ class DecompositionResult:
 def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> DecompositionResult:
     """The one majorize-minimize loop of both solvers, from the start ``xs``,
     accelerated by safeguarded SQUAREM (Varadhan & Roland, Scand. J. Stat.
-    35, 2008, scheme S3) with the adaptive step bound of the SQUAREM
-    package (Du & Varadhan, J. Stat. Softw. 92(7), 2020: ``step.max0 = 1``,
-    ``mstep = 4``).
+    35, 2008, scheme S3) with its step length bounded by :data:`STEP_MAX`.
 
     ``norms_and_cost(*xs)`` returns the smoothed window norms at the iterate
     and its cost; ``update(norms, *xs)`` minimizes the majorizer built from
     those norms and returns the next iterate, one map evaluation.  Each cycle
     takes two plain steps ``x -> x1 -> x2``, sets ``r = x1 - x``,
     ``v = x2 - x1 - r`` and ``alpha = min(-1, -||r|| / ||v||)`` (both norms
-    summed over the components), clamped at ``-step_max``, and takes one
+    summed over the components), clamped at ``-STEP_MAX``, and takes one
     step from ``x - 2*alpha*r + alpha**2 * v``; that step is kept only if
     its cost is no higher than cost(x2), so the cost never rises and a
-    non-finite extrapolation (NaN or inf fails that test) is rejected.
-    ``step_max`` starts at 1; a clamped step that is kept multiplies it by
-    4, and one that is rejected divides it by 4, but not below 1.  The
-    bound keeps an overshooting step from being retried at the same length
-    cycle after cycle, and it keeps the roundoff of two solves of one
-    problem (say, of ``y`` and of ``y`` reversed) from being amplified.
+    non-finite extrapolation (NaN or inf fails that test) is rejected.  A
+    kept and a rejected extrapolation differ only in the iterate held: no
+    state but the cost history outlives a cycle.
 
     ``max_iter`` and the result's ``iterations`` count map evaluations: a
     cycle is three, and one cut short by the budget ends on its plain
@@ -202,7 +204,6 @@ def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> Decompositi
         costs.append(c)
         return xs, norms, done
 
-    step_max = 1.0
     # an overflow rounds to its limit or shows as a non-finite cost, never as a warning
     with np.errstate(all="ignore"):
         xs, norms, converged = evaluate(xs)
@@ -221,10 +222,7 @@ def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> Decompositi
                 v -= r
             sr = sum(_half_sq_norm(r) for r in rs)
             sv = sum(_half_sq_norm(v) for v in vs)
-            alpha = -1.0 if sv == 0.0 else min(-1.0, -math.sqrt(sr / sv))
-            clamped = alpha < -step_max
-            if clamped:
-                alpha = -step_max
+            alpha = -1.0 if sv == 0.0 else max(-STEP_MAX, min(-1.0, -math.sqrt(sr / sv)))
             for x, r, v in zip(x0, rs, vs):
                 r *= -2.0 * alpha
                 r += x
@@ -235,12 +233,8 @@ def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> Decompositi
             # no NaN or inf passes, as every recorded cost is finite
             if c <= costs[-1]:
                 xs, norms = ext, ext_norms
-                if clamped:
-                    step_max *= 4.0
             else:
                 c = costs[-1]
-                if clamped:
-                    step_max = max(1.0, step_max / 4.0)
             costs.append(c)
     residual = y - xs[0] if len(xs) == 1 else y - xs[0] - xs[1]
     return DecompositionResult(tuple(xs), residual, np.asarray(costs), len(costs) - 1, converged)

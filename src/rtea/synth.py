@@ -43,6 +43,7 @@ class TransientTrain:
 
     def __post_init__(self):
         _check_count("transient_len", self.transient_len)
+        _check_count("seed", self.seed, 0)
         _check_positive("period_samples", self.period_samples)
         if not 0.0 <= self.jitter_pct <= 5.0:
             raise ValueError(f"jitter_pct must lie in [0, 5], got {self.jitter_pct}")
@@ -151,6 +152,7 @@ def gen_mixture(
     so the whole record is reproducible from one integer.
     """
     _check_nonnegative("sigma", sigma)
+    _check_count("seed", seed, 0)
     root = np.random.default_rng(seed)
     s1, s2, sn = (int(v) for v in root.integers(0, 2**63 - 1, size=3))
     common = dict(

@@ -5,8 +5,8 @@ from the definitions, deliberately avoiding the convolution/sliding-window
 code paths used by the package.  The gradient and the majorizer gaps at the
 end are built from the package's public regularizer functions; they test
 identities that must hold between those functions.  The helpers in between
-(raw penalty, scalar majorizer, coupling penalty, single transient, row-wise
-CSV writer) are the small pieces of the model the tests call directly;
+(raw penalty, scalar majorizer, coupling penalty, single transient, a
+benchmark record, row-wise CSV writer) are the small pieces of the model the tests call directly;
 ``mm_step`` takes one update of the solver's own loop, and
 ``squarem_cycle`` rebuilds one accelerated cycle from three of them.
 """
@@ -14,7 +14,9 @@ CSV writer) are the small pieces of the model the tests call directly;
 import csv
 import io
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from rtea.regularizers import (
     group_penalty,
     majorizer_weights,
 )
-from rtea.solver import rtea_solve
+from rtea.solver import STEP_MAX, rtea_solve
 from rtea.synth import _draw_transient
 
 
@@ -116,6 +118,22 @@ def gen_transient(train, seed=None):
     return _draw_transient(np.random.default_rng(train.seed if seed is None else seed), train)
 
 
+def bench_record(workload, index):
+    """Record ``index`` of a benchmark workload's pool, made by
+    ``bench/workloads.py`` imported as the benchmark does and forgotten
+    after."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    sys.modules.pop("workloads", None)
+    try:
+        from workloads import WORKLOADS, make_record
+
+        return make_record(WORKLOADS[workload], index)
+    finally:
+        sys.modules.pop("workloads", None)
+        sys.path.remove(bench)
+
+
 def csv_rowwise(columns):
     """The CSV text of named columns, formatted value by value: integers
     with ``str``, everything else as ``repr(float(v))``, LF line endings."""
@@ -137,16 +155,14 @@ def mm_step(y, x1, x2, cfg):
     return res.x1, res.x2, res.cost_history
 
 
-def squarem_cycle(y, x1, x2, cfg, step_max):
+def squarem_cycle(y, x1, x2, cfg):
     """One whole cycle of ``rtea_solve``'s loop from ``(x1, x2)``, rebuilt
     from three ``mm_step`` calls: two plain steps ``x -> a -> b``, then one
     step from ``x - 2*alpha*r + alpha**2 * v`` with ``r = a - x``,
     ``v = b - a - r`` and ``alpha = min(-1, -||r|| / ||v||)`` over both
-    components, clamped at ``-step_max``, kept only if its cost is finite
-    and at most cost(b).  A clamped step that is kept multiplies
-    ``step_max`` by 4; one that is rejected divides it by 4, but not below
-    1.  Returns the held iterate, the three costs the loop records, whether
-    the extrapolation was kept and the next cycle's ``step_max``."""
+    components, clamped at ``-STEP_MAX``, kept only if its cost is finite
+    and at most cost(b).  Returns the held iterate, the three costs the
+    loop records and whether the extrapolation was kept."""
     a1, a2, (_, ca) = mm_step(y, x1, x2, cfg)
     b1, b2, (_, cb) = mm_step(y, a1, a2, cfg)
     rs = (a1 - x1, a2 - x2)
@@ -158,13 +174,12 @@ def squarem_cycle(y, x1, x2, cfg, step_max):
 
     sv = sq(vs[0]) + sq(vs[1])
     alpha = -1.0 if sv == 0.0 else min(-1.0, -math.sqrt((sq(rs[0]) + sq(rs[1])) / sv))
-    clamped = alpha < -step_max
-    alpha = max(alpha, -step_max)
+    alpha = max(alpha, -STEP_MAX)
     e1, e2 = (x + (-2.0 * alpha) * r + (alpha * alpha) * v for x, r, v in zip((x1, x2), rs, vs))
     e1, e2, (_, ce) = mm_step(y, e1, e2, cfg)
     if np.isfinite(ce) and ce <= cb:
-        return e1, e2, [ca, cb, ce], True, step_max * 4.0 if clamped else step_max
-    return b1, b2, [ca, cb, cb], False, max(1.0, step_max / 4.0) if clamped else step_max
+        return e1, e2, [ca, cb, ce], True
+    return b1, b2, [ca, cb, cb], False
 
 
 def mm_cost(y, x1, x2, cfg):
@@ -214,19 +229,9 @@ def group_majorizer_gap(x, z, b, spec):
 
 
 def combined_majorizer_gap(x1, x2, z1, z2, k0, spec):
-    """Majorizer of the sum-coupling penalty minus the penalty itself.
-
-    Anchored at (z1, z2) with the constant resolved by tangency, so the gap
-    is zero at (x1, x2) == (z1, z2) and nonnegative everywhere else (up to
-    roundoff).
-    """
+    """Majorizer of the sum-coupling penalty minus the penalty itself, as the
+    step minimizes it: the group majorizer of the sum x1 + x2, anchored at
+    (z1, z2).  Zero at (x1, x2) == (z1, z2) and wherever x1 + x2 == z1 + z2,
+    and nonnegative everywhere else (up to roundoff)."""
     x1, x2, z1, z2 = (np.asarray(v, dtype=float) for v in (x1, x2, z1, z2))
-    r0 = combined_majorizer_weights(z1 + z2, k0, spec)
-    d = z1 - z2
-
-    def quad(a1, a2):
-        return float(np.sum(r0 * (a1 * a1 + a2 * a2 - d * a1 + d * a2)))
-
-    gap = quad(x1, x2) - quad(z1, z2)
-    gap += combined_penalty(z1, z2, k0, spec) - combined_penalty(x1, x2, k0, spec)
-    return gap
+    return group_majorizer_gap(x1 + x2, z1 + z2, WeightArray.ones(k0), spec)

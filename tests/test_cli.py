@@ -25,8 +25,7 @@ from rtea.penalties import FAMILIES
 from rtea.solver import SolverConfig, pogs_solve, rtea_solve
 from rtea.synth import gen_mixture
 
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from oracles import bench_record
 
 
 def run(args):
@@ -301,6 +300,17 @@ class TestExtract:
         assert run(["extract", tmp_path / "huge.csv", *MODE_FLAGS[mode], "--period1", 16,
                     "--period2", 25, "--out", tmp_path / "x"]) == 3
         assert "cost became non-finite" in capsys.readouterr().err
+
+    def test_zero_a0_passes_an_overflowing_convexity_bound(self, tmp_path, capsys):
+        # the noise estimate is huge, so k0*lam0 overflows and the bound
+        # 1/(k0*lam0) rounds to 0; the default a0 = 0 still passes it, and
+        # the run fails where it really does, at the start cost
+        y = np.tile([1.7e308] * 3 + [-1.7e308] * 2 + [0.0], 40)
+        write_columns_csv(str(tmp_path / "huge.csv"), {"y": y})
+        assert run(["extract", tmp_path / "huge.csv", "--period1", 16,
+                    "--period2", 27, "--out", tmp_path / "x"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: cost became non-finite at iteration 0\n")
 
     def test_overflowing_start_cost_is_numerical_failure(self, tmp_path, capsys):
         # lam * P(y) overflows at the start x = y, before any map evaluation
@@ -778,30 +788,22 @@ class TestBenchEta:
         out = tmp_path / "sweep"
         etas = [0.5, 0.1, 0.2]
         assert run(["bench-eta", out_gen / "signal.csv", "--period1", 32, "--period2", 53,
-                    "--etas", ",".join(map(str, etas)), "--max-iter", 9, "--penalty", "log",
-                    "--tol", 0.001, "--out", out]) == 0
+                    "--etas", ",".join(map(str, etas)), "--max-iter", 12, "--penalty", "log",
+                    "--tol", 0.0001, "--out", out]) == 0
         record = json.loads((out / "eta_sweep.json").read_text())
-        assert (record["penalty"], record["max_iter"], record["tol"]) == ("log", 9, 0.001)
+        assert (record["penalty"], record["max_iter"], record["tol"]) == ("log", 12, 0.0001)
         # each eta's map evaluations and whether it converged, in --etas order
         y = read_columns_csv(str(out_gen / "signal.csv"))["y"]
         specs = [PeriodSpec(period_samples=t) for t in (32, 53)]
-        solves = [rtea_solve(y, default_config(y, *specs, eta, 0.5, "log", 9, 0.001))
+        solves = [rtea_solve(y, default_config(y, *specs, eta, 0.5, "log", 12, 0.0001))
                   for eta in etas]
         assert record["iterations"] == [res.iterations for res in solves]
-        assert record["converged"] == [res.converged for res in solves] == [False, True, True]
+        assert record["converged"] == [res.converged for res in solves] == [True, False, False]
 
-    def test_every_default_eta_converges_on_a_benchmark_record(self, tmp_path, monkeypatch):
+    def test_every_default_eta_converges_on_a_benchmark_record(self, tmp_path):
         # an eta's RMSE is that of its optimum only if its solve converges,
-        # so every default eta must converge within the default budget.
-        # bench/workloads is imported as the benchmark does, and forgotten after
-        monkeypatch.syspath_prepend(str(BENCH))
-        sys.modules.pop("workloads", None)
-        try:
-            from workloads import WORKLOADS, make_record
-
-            rec = make_record(WORKLOADS["quickstart-1k"], 0)
-        finally:
-            sys.modules.pop("workloads", None)
+        # so every default eta must converge within the default budget
+        rec = bench_record("quickstart-1k", 0)
         write_columns_csv(str(tmp_path / "y.csv"),
                           {"y": rec.y, "x1_true": rec.truth[0], "x2_true": rec.truth[1]})
         out = tmp_path / "sweep"

@@ -9,7 +9,8 @@ or a ``TypeError`` or ``ValueError`` naming the argument.  A positive
 setting passes ``_checks._check_positive``: a finite real > 0, or
 ``<name> must be a finite positive real, got <v>``.  A nonnegative one
 passes ``_checks._check_nonnegative``: a finite real >= 0, or
-``<name> must be a finite nonnegative real, got <v>``.
+``<name> must be a finite nonnegative real, got <v>``.  Neither takes a
+bool: ``<name> must be a real number, got bool``.
 """
 
 import re
@@ -23,6 +24,7 @@ from rtea import (
     SolverConfig,
     TransientTrain,
     WeightArray,
+    beta_lookup,
     check_convexity,
     combined_majorizer_weights,
     default_config,
@@ -67,6 +69,10 @@ COUNTS = {
                                       "k0", 1, 2),
     "TransientTrain-transient_len": (lambda v: TransientTrain(32.0, transient_len=v),
                                      "transient_len", 1, 10),
+    "TransientTrain-seed": (lambda v: TransientTrain(32.0, seed=v), "seed", 0, 7),
+    "gen_mixture-seed": (lambda v: gen_mixture(n_samples=N, seed=v), "seed", 0, 7),
+    "beta_lookup-n1": (lambda v: beta_lookup(v, 1), "n1", 1, 2),
+    "beta_lookup-m": (lambda v: beta_lookup(1, v), "m", 1, 2),
     "gen_train-n_samples": (lambda v: gen_train(TransientTrain(32.0), v), "n_samples", 1, N),
     "gen_mixture-n_samples": (lambda v: gen_mixture(n_samples=v), "n_samples", 1, N),
     "find_peaks-n_harmonics": (lambda v: find_peaks(SPECTRUM, BAND, n_harmonics=v),
@@ -157,6 +163,15 @@ def test_negative_or_non_finite_real_is_refused_naming_the_argument(entry, value
     call, name = NONNEGATIVES[entry]
     cause = f"{name} must be a finite nonnegative real, got {value}"
     with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("entry", [*POSITIVES, *NONNEGATIVES])
+def test_bool_real_is_a_type_error_naming_the_argument(entry, value):
+    call, name = {**POSITIVES, **NONNEGATIVES}[entry]
+    cause = f"{name} must be a real number, got {type(value).__name__}"
+    with pytest.raises(TypeError, match=f"^{re.escape(cause)}$"):
         call(value)
 
 
