@@ -9,11 +9,12 @@ maximum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _as_signal, _check_count, _check_positive
+from ._checks import _as_signal, _check_count, _check_positive, _check_real
 
 
 def rmse(a, b) -> float:
@@ -151,8 +152,13 @@ def find_peaks(
     edge leaves that side open.  A given ``tol_hz`` must be below the top of
     the spectrum.  The search ends at the highest local maximum: no multiple
     above it plus ``tol_hz`` can be found."""
-    lo, hi = band_hz
-    if np.isnan(lo) or np.isnan(hi):
+    try:
+        lo, hi = band_hz
+    except (TypeError, ValueError):
+        raise ValueError(f"band_hz must be a pair of edges (lo, hi), got {band_hz!r}") from None
+    for edge in (lo, hi):
+        _check_real("band_hz edge", edge)
+    if math.isnan(lo) or math.isnan(hi):
         raise ValueError(f"band_hz must not have a NaN edge, got {band_hz}")
     if not lo < hi:
         raise ValueError(f"empty band: {band_hz}")

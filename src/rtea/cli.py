@@ -40,7 +40,8 @@ CONFIG_FLAGS = {
     "max_iter": "--max-iter",
     "tol": "--tol",
 }
-# The solver settings each run's record holds; extract's also holds eta.
+# The solver settings of each extract and bench-eta record, beside its eta
+# (extract) or etas (bench-eta).
 SETTINGS = ("a0_fraction", "penalty", "max_iter", "tol")
 
 
@@ -59,16 +60,6 @@ def _env_seed(value):
 # run leaves no --out directory (the atomic writer makes it)
 
 
-def _write_tables(out, tables) -> dict:
-    """Write ``{key: (file name, columns)}`` as CSV files in ``out``;
-    return ``{key: path}``."""
-    paths = {}
-    for key, (name, columns) in tables.items():
-        paths[key] = os.path.join(out, name)
-        fileio.write_columns_csv(paths[key], columns)
-    return paths
-
-
 def _json_safe(value):
     """``value`` with every non-finite float (an open band edge, an overflow)
     replaced by None, which JSON writes as null."""
@@ -81,13 +72,20 @@ def _json_safe(value):
     return value
 
 
-def _write_record(out, name, command, **fields) -> str:
-    """Write ``fields`` as the run record ``out/name``, adding the command
-    and the time."""
-    record = {**fields, "command": command, "timestamp": fileio.utc_timestamp()}
+def _write_run(out, name, command, tables, settings, **results) -> None:
+    """Write ``tables``, ``{key: (file name, columns)}``, as CSV files in
+    ``out``, then the run record ``out/name``: ``results``, the run's
+    ``settings``, the path and SHA-256 digest of each table written under
+    ``outputs``, the command and the time; print the paths written."""
+    outputs = {}
+    for key, (file_name, columns) in tables.items():
+        path = os.path.join(out, file_name)
+        outputs[key] = {"path": path, "sha256": fileio.write_columns_csv(path, columns)}
+    record = {**results, "settings": settings, "outputs": outputs, "command": command,
+              "timestamp": fileio.utc_timestamp()}
     path = os.path.join(out, name)
     fileio.write_json(path, _json_safe(record))
-    return path
+    print("wrote", ", ".join([*(entry["path"] for entry in outputs.values()), path]))
 
 
 def _read_input(path):
@@ -111,19 +109,11 @@ def cmd_generate(args) -> int:
     mix = gen_mixture(n_samples=args.n, seed=seed, **params)
     columns = {"index": np.arange(args.n), "y": mix.y, "x1_true": mix.x1,
                "x2_true": mix.x2, "w": mix.noise}
-    signal_path = os.path.join(args.out, "signal.csv")
-    digest = fileio.write_columns_csv(signal_path, columns)
-    manifest_path = _write_record(
-        args.out, "truth.json", "generate",
-        params={"n": args.n, **params},
-        seed=seed,
-        child_seeds=list(mix.seeds),
-        onsets1=mix.onsets1.tolist(),
-        onsets2=mix.onsets2.tolist(),
-        files={"signal": signal_path},
-        sha256={"signal": digest},
+    _write_run(
+        args.out, "truth.json", "generate", {"signal": ("signal.csv", columns)},
+        {"n": args.n, **params}, seed=seed, child_seeds=list(mix.seeds),
+        onsets1=mix.onsets1.tolist(), onsets2=mix.onsets2.tolist(),
     )
-    print(f"wrote {signal_path} ({args.n} samples) and {manifest_path}")
     return 0
 
 
@@ -196,14 +186,6 @@ def cmd_extract(args) -> int:
     y, truth, source = _read_observation(args.input)
     specs = _periods(args)
     sigma = estimate_sigma(y)
-    manifest = {
-        "mode": args.mode,
-        "sigma_hat": sigma,
-        "settings": {name: getattr(args, name) for name in ("eta", *SETTINGS)},
-        "periods": [_period_snapshot(spec) for spec in specs],
-        "metrics": {},
-    }
-
     if args.mode == "pogs":
         (spec1,) = specs
         b = build_weight_array(spec1)
@@ -212,7 +194,7 @@ def cmd_extract(args) -> int:
         pen = PenaltySpec()
         result = pogs_solve(y, b, lam, pen, max_iter=args.max_iter, tol=args.tol)
         notes = [f"lambda = {lam:.6g}"]
-        manifest["config"] = {"lam": lam, "penalty": pen.family, "b": _mask_snapshot(b)}
+        config = {"lam": lam, "penalty": pen.family, "b": _mask_snapshot(b)}
     else:
         if args.eta >= 0.9:
             print(
@@ -236,12 +218,14 @@ def cmd_extract(args) -> int:
             )
         else:
             notes.append("convexity bound: not applicable (lam0 = 0)")
-        manifest["config"] = _config_snapshot(solver_cfg)
+        config = _config_snapshot(solver_cfg)
+    metrics = {"final_cost": result.final_cost, "iterations": result.iterations,
+               "converged": result.converged}
     # each solved component with its own truth column (pogs solves x1 only)
     for i, x in enumerate(result.xs, 1):
         if i in truth:
-            manifest["metrics"][f"rmse_x{i}"] = rmse(x, truth[i])
-            manifest["metrics"][f"baseline_rmse_y_x{i}"] = rmse(y, truth[i])
+            metrics[f"rmse_x{i}"] = rmse(x, truth[i])
+            metrics[f"baseline_rmse_y_x{i}"] = rmse(y, truth[i])
     state = "converged" if result.converged else "not converged"
     print(f"sigma_hat = {sigma:.6g}", *notes, sep="\n")
     print(f"iterations = {result.iterations} ({state})")
@@ -249,16 +233,14 @@ def cmd_extract(args) -> int:
 
     columns = dict(zip(("x1", "x2"), result.xs), residual=result.residual)
     costs = result.cost_history
-    outputs = _write_tables(args.out, {
-        "components": ("components.csv", {"index": np.arange(y.size), **columns}),
-        "cost": ("cost.csv", {"iteration": np.arange(costs.size), "cost": costs}),
-    })
-    manifest["metrics"].update(
-        final_cost=result.final_cost, iterations=result.iterations, converged=result.converged
+    _write_run(
+        args.out, "manifest.json", "extract", {
+            "components": ("components.csv", {"index": np.arange(y.size), **columns}),
+            "cost": ("cost.csv", {"iteration": np.arange(costs.size), "cost": costs}),
+        }, {name: getattr(args, name) for name in ("eta", *SETTINGS)},
+        input=source, mode=args.mode, sigma_hat=sigma, config=config, metrics=metrics,
+        periods=[_period_snapshot(spec) for spec in specs],
     )
-    _write_record(args.out, "manifest.json", "extract", input=source,
-                  outputs=outputs, **manifest)
-    print(f"wrote {outputs['components']}")
     return 0
 
 
@@ -272,22 +254,13 @@ def _mask_snapshot(b) -> dict:
 
 
 def _config_snapshot(cfg) -> dict:
+    pens = (cfg.pen0, cfg.pen1, cfg.pen2)
     return {
-        "lam0": cfg.lam0,
-        "lam1": cfg.lam1,
-        "lam2": cfg.lam2,
-        "a0": cfg.pen0.a,
-        "a1": cfg.pen1.a,
-        "a2": cfg.pen2.a,
-        "penalty0": cfg.pen0.family,
-        "penalty1": cfg.pen1.family,
-        "penalty2": cfg.pen2.family,
-        "eps": cfg.pen0.eps,
-        "k0": cfg.k0,
-        "b1": _mask_snapshot(cfg.b1),
-        "b2": _mask_snapshot(cfg.b2),
-        "max_iter": cfg.max_iter,
-        "tol": cfg.tol,
+        **{f"a{i}": pen.a for i, pen in enumerate(pens)},
+        **{f"penalty{i}": pen.family for i, pen in enumerate(pens)},
+        "lam0": cfg.lam0, "lam1": cfg.lam1, "lam2": cfg.lam2, "eps": cfg.pen0.eps,
+        "k0": cfg.k0, "b1": _mask_snapshot(cfg.b1), "b2": _mask_snapshot(cfg.b2),
+        "max_iter": cfg.max_iter, "tol": cfg.tol,
     }
 
 
@@ -332,14 +305,8 @@ def cmd_analyze(args) -> int:
                 f"{name}: fundamental {fundamental:.4g} Hz, "
                 f"harmonic score {score:.2f}, rms {rms:.4g}"
             )
-    outputs = _write_tables(args.out, tables)
-    peaks_path = _write_record(
-        args.out, "peaks.json", "analyze", input=source,
-        params={**spectrum, **search},
-        components=components,
-        outputs=outputs,
-    )
-    print(f"wrote {peaks_path}")
+    _write_run(args.out, "peaks.json", "analyze", tables, {**spectrum, **search},
+               input=source, components=components)
     return 0
 
 
@@ -357,34 +324,23 @@ def cmd_bench_eta(args) -> int:
     specs = _periods(args)
     sigma = estimate_sigma(y)
     x1t, x2t = truth[1], truth[2]
-    rows = {"eta": [], "rmse_x1": [], "rmse_x2": [], "rmse_sum": []}
-    iterations, converged = [], []
+    rows, iterations, converged = [], [], []
     for eta in args.etas:
         res = rtea_solve(y, _solver_config(sigma, args, specs, eta))
         _warn_unconverged(res, args, f"eta = {eta}: ")
         iterations.append(res.iterations)
         converged.append(res.converged)
-        rows["eta"].append(eta)
-        rows["rmse_x1"].append(rmse(res.x1, x1t))
-        rows["rmse_x2"].append(rmse(res.x2, x2t))
-        rows["rmse_sum"].append(rmse(res.x1 + res.x2, x1t + x2t))
-        print(
-            f"eta = {eta:.3f}: rmse_x1 = {rows['rmse_x1'][-1]:.5g}, "
-            f"rmse_x2 = {rows['rmse_x2'][-1]:.5g}, "
-            f"rmse_sum = {rows['rmse_sum'][-1]:.5g}"
-        )
-    columns = {k: np.asarray(v) for k, v in rows.items()}
-    outputs = _write_tables(args.out, {"sweep": ("eta_sweep.csv", columns)})
-    _write_record(
-        args.out, "eta_sweep.json", "bench-eta", input=source,
-        etas=args.etas,
-        iterations=iterations,
-        converged=converged,
-        **{name: getattr(args, name) for name in SETTINGS},
+        rmses = {"rmse_x1": rmse(res.x1, x1t), "rmse_x2": rmse(res.x2, x2t),
+                 "rmse_sum": rmse(res.x1 + res.x2, x1t + x2t)}
+        rows.append({"eta": eta, **rmses})
+        print(f"eta = {eta:.3f}: " + ", ".join(f"{k} = {v:.5g}" for k, v in rmses.items()))
+    columns = {k: np.asarray([row[k] for row in rows]) for k in rows[0]}
+    _write_run(
+        args.out, "eta_sweep.json", "bench-eta", {"sweep": ("eta_sweep.csv", columns)},
+        {name: getattr(args, name) for name in ("etas", *SETTINGS)},
+        input=source, iterations=iterations, converged=converged,
         periods=[_period_snapshot(spec) for spec in specs],
-        outputs=outputs,
     )
-    print(f"wrote {outputs['sweep']}")
     return 0
 
 

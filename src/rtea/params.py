@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _as_signal, _check_count, _check_positive
+from ._checks import _as_signal, _check_count, _check_fraction, _check_positive
 from .penalties import PenaltySpec
 from .regularizers import WeightArray
 from .solver import SolverConfig, check_convexity
@@ -111,8 +111,7 @@ def _choose_lambdas(
     penalties: ``lam0 = eta*beta0*sigma``, ``lam_i = 0.5*(1-eta)*beta_i*sigma``.
     ``eta = 0`` drops the coupling term.
     """
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    _check_fraction("eta", eta)
     sigma = _lambda_scale(sigma)
     lam0 = eta * beta0 * sigma
     lam1 = 0.5 * (1.0 - eta) * beta1 * sigma
@@ -175,8 +174,7 @@ def default_config(
 
 def _config(sigma, spec1, spec2, eta, a0_fraction, family, max_iter, tol) -> SolverConfig:
     """:func:`default_config` at the noise level ``sigma``."""
-    if not 0.0 <= a0_fraction < 1.0:
-        raise ValueError(f"a0_fraction must lie in [0, 1), got {a0_fraction}")
+    _check_fraction("a0_fraction", a0_fraction)
     b1 = build_weight_array(spec1)
     b2 = build_weight_array(spec2)
     k0 = min(spec1.n1, spec2.n1)

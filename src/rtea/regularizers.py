@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import _as_signal, _check_count
+from ._checks import _as_signal, _check_count, _check_type
 from .penalties import PenaltySpec, _denom_at, _value_at
 
 
@@ -101,8 +101,7 @@ def _plan(n1: int, n0: int, m: int, n: int, start: int, size: int):
 def _check_mask(b, n: int) -> None:
     """The one mask check of every path: a ``WeightArray`` no longer than
     the ``n``-sample signal it slides over."""
-    if not isinstance(b, WeightArray):
-        raise TypeError(f"mask must be a WeightArray, got {type(b).__name__}")
+    _check_type("mask", b, WeightArray)
     # the length arithmetically: len() refuses one past sys.maxsize
     length = b.m * b.period + b.n1
     if length > n:

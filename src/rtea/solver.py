@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _as_signal, _check_count, _check_nonnegative, _check_positive
+from ._checks import _as_signal, _check_count, _check_nonnegative, _check_positive, _check_type
 from .penalties import PenaltySpec
 from .regularizers import WeightArray, _check_mask, _norms, _penalty, _weights
 
@@ -114,13 +114,13 @@ class SolverConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
+        for name in ("pen0", "pen1", "pen2"):
+            _check_type(name, getattr(self, name), PenaltySpec)
         lams = {"lam0": self.lam0, "lam1": self.lam1, "lam2": self.lam2}
         _check_run(self.max_iter, self.tol, (self.pen1, self.pen2), **lams)
         _check_count("k0", self.k0)
         for name in ("b1", "b2"):
-            b = getattr(self, name)
-            if not isinstance(b, WeightArray):
-                raise TypeError(f"{name} must be a WeightArray, got {type(b).__name__}")
+            _check_type(name, getattr(self, name), WeightArray)
         if self.lam0 == 0 and self.pen0.a:
             raise ValueError(
                 "lam0 == 0 (no coupling term) requires the coupling concavity "
@@ -358,6 +358,7 @@ def rtea_solve(y, cfg: SolverConfig, init=None) -> DecompositionResult:
     holds the cost of the iterate held after each, the start included.
     """
     y = _as_signal(y, "observation")
+    _check_type("cfg", cfg, SolverConfig)
     groups = ((cfg.lam1, cfg.b1, cfg.pen1), (cfg.lam2, cfg.b2, cfg.pen2))
     coupling = (cfg.lam0, cfg.k0, cfg.pen0) if cfg.lam0 > 0 else None
     norms_and_cost, update = _objective(y, groups, coupling)
@@ -387,6 +388,7 @@ def pogs_solve(
     """
     y = _as_signal(y, "observation")
     _check_positive("lam", lam)
+    _check_type("spec", spec, PenaltySpec)
     _check_run(max_iter, tol, (spec,))
     norms_and_cost, update = _objective(y, ((lam, b, spec),), None)
     res = _mm(y, (y.copy(),), norms_and_cost, update, max_iter, tol)

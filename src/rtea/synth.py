@@ -45,7 +45,8 @@ class TransientTrain:
         _check_count("transient_len", self.transient_len)
         _check_count("seed", self.seed, 0)
         _check_positive("period_samples", self.period_samples)
-        if not 0.0 <= self.jitter_pct <= 5.0:
+        _check_nonnegative("jitter_pct", self.jitter_pct)
+        if not self.jitter_pct <= 5.0:
             raise ValueError(f"jitter_pct must lie in [0, 5], got {self.jitter_pct}")
         if self.modulation_freq_hz is not None and self.sample_rate_hz is None:
             raise ValueError("modulation_freq_hz requires sample_rate_hz")

@@ -65,7 +65,7 @@ class TestGenerate:
         assert len(cols["y"]) == 1024
         manifest = json.loads((generated / "truth.json").read_text())
         assert manifest["seed"] == 7
-        assert manifest["params"]["t1"] == 32
+        assert manifest["settings"]["t1"] == 32
         assert len(manifest["onsets1"]) == 32
         np.testing.assert_allclose(
             cols["y"], cols["x1_true"] + cols["x2_true"] + cols["w"]
@@ -91,7 +91,7 @@ class TestGenerate:
         assert truth["onsets1"] == mix.onsets1.tolist()
         assert truth["onsets2"] == mix.onsets2.tolist()
         assert truth["child_seeds"] == list(mix.seeds)
-        assert truth["params"] == {
+        assert truth["settings"] == {
             "n": 1024, "t1": 32.0, "t2": 53.0, "sigma": 0.5, "transient_len": 10,
             "jitter_pct": 2.0, "modulation_freq_hz": 6.0, "sample_rate_hz": 12800.0}
 
@@ -791,7 +791,8 @@ class TestBenchEta:
                     "--etas", ",".join(map(str, etas)), "--max-iter", 12, "--penalty", "log",
                     "--tol", 0.0001, "--out", out]) == 0
         record = json.loads((out / "eta_sweep.json").read_text())
-        assert (record["penalty"], record["max_iter"], record["tol"]) == ("log", 12, 0.0001)
+        assert record["settings"] == {"etas": etas, "a0_fraction": 0.5, "penalty": "log",
+                                      "max_iter": 12, "tol": 0.0001}
         # each eta's map evaluations and whether it converged, in --etas order
         y = read_columns_csv(str(out_gen / "signal.csv"))["y"]
         specs = [PeriodSpec(period_samples=t) for t in (32, 53)]
@@ -810,7 +811,7 @@ class TestBenchEta:
         assert run(["bench-eta", tmp_path / "y.csv", "--period1", 32, "--period2", 53,
                     "--out", out]) == 0
         record = json.loads((out / "eta_sweep.json").read_text())
-        assert record["max_iter"] == 200 and len(record["etas"]) == 9
+        assert record["settings"]["max_iter"] == 200 and len(record["settings"]["etas"]) == 9
         assert record["converged"] == [True] * 9
 
     def test_requires_truth(self, tmp_path):
@@ -851,15 +852,19 @@ def test_record_lists_every_output(generated, tmp_path, case):
     assert run([command, *inputs, *flags, "--out", out]) == 0
     record = strict_json((out / name).read_text())
     if case in OPEN_BANDS:
-        assert record["params"]["band_hz"] == OPEN_BANDS[case]
+        assert record["settings"]["band_hz"] == OPEN_BANDS[case]
+    assert {"command", "timestamp", "settings", "outputs"} <= set(record)
     assert record["command"] == command
     assert datetime.fromisoformat(record["timestamp"]).tzinfo is not None
-    if inputs:
-        digest = hashlib.sha256(read_bytes(inputs[0])).hexdigest()
-        assert record["input"] == {"path": str(inputs[0]), "sha256": digest}
-    else:
-        assert "input" not in record
-    paths = record["files" if command == "generate" else "outputs"].values()
+    assert ("input" in record) == bool(inputs)
+    for path in inputs:
+        digest = hashlib.sha256(read_bytes(path)).hexdigest()
+        assert record["input"] == {"path": str(path), "sha256": digest}
+    paths = []
+    for entry in record["outputs"].values():
+        assert set(entry) == {"path", "sha256"}
+        assert entry["sha256"] == hashlib.sha256(read_bytes(entry["path"])).hexdigest()
+        paths.append(entry["path"])
     assert {os.path.dirname(p) for p in paths} == {str(out)}
     assert sorted(os.listdir(out)) == sorted([name, *map(os.path.basename, paths)])
 
@@ -1150,25 +1155,33 @@ def test_record_digest_is_of_the_bytes_parsed(tmp_path, monkeypatch):
     assert record["input"]["sha256"] == hashlib.sha256(parsed).hexdigest()
 
 
-def test_generate_records_the_digest_of_the_bytes_written(tmp_path, monkeypatch):
-    # signal.csv is changed right after it is renamed into place: truth.json
-    # names the bytes generate wrote, not the file as it is when the record is made
+@pytest.mark.parametrize("command, flags, name, key, file_name", [
+    ("generate", ["--n", 64], "truth.json", "signal", "signal.csv"),
+    ("extract", ["--period1", 32, "--period2", 53, "--max-iter", 5], "manifest.json",
+     "components", "components.csv"),
+], ids=["generate", "extract"])
+def test_record_holds_the_digest_of_the_bytes_written(generated, tmp_path, monkeypatch,
+                                                      command, flags, name, key, file_name):
+    # the output is changed right after it is renamed into place: the record
+    # names the bytes the run wrote, not the file as it is when the record is made
     written = {}
     rename = os.replace
 
     def rename_then_change(src, dst):
         rename(src, dst)
-        if os.path.basename(dst) == "signal.csv":
-            written["signal"] = read_bytes(dst)
+        if os.path.basename(dst) == file_name:
+            written[key] = read_bytes(dst)
             with open(dst, "ab") as fh:
-                fh.write(b"64,0.0,0.0,0.0,0.0\n")
+                fh.write(b"0,0.0\n")
 
+    inputs = [] if command == "generate" else [generated / "signal.csv"]
     monkeypatch.setattr(os, "replace", rename_then_change)
-    out = tmp_path / "gen"
-    assert run(["generate", "--n", 64, "--out", out]) == 0
-    record = json.loads((out / "truth.json").read_text(encoding="utf-8"))
-    assert read_bytes(out / "signal.csv") != written["signal"]
-    assert record["sha256"] == {"signal": hashlib.sha256(written["signal"]).hexdigest()}
+    out = tmp_path / "run"
+    assert run([command, *inputs, *flags, "--out", out]) == 0
+    record = json.loads((out / name).read_text(encoding="utf-8"))
+    assert read_bytes(out / file_name) != written[key]
+    assert record["outputs"][key] == {"path": str(out / file_name),
+                                      "sha256": hashlib.sha256(written[key]).hexdigest()}
 
 
 def test_console_entrypoint_help():

@@ -1,7 +1,9 @@
 """Every public entry point that takes a size, count or budget checks it
 by one rule, every one that takes a rate, period, tolerance, smoothing or
-weight that must not vanish by a second, and every one that takes a
-weight, concavity or noise level that may be 0 by a third.
+weight that must not vanish by a second, every one that takes a weight,
+concavity or noise level that may be 0 by a third, every one that takes a
+share in [0, 1) by a fourth, and every one that takes a config object by a
+fifth.
 
 A count passes ``_checks._check_count``: an integer (a numpy integer is
 one; a bool is not, nor is a float, even 3.0) of at least its least value,
@@ -9,8 +11,12 @@ or a ``TypeError`` or ``ValueError`` naming the argument.  A positive
 setting passes ``_checks._check_positive``: a finite real > 0, or
 ``<name> must be a finite positive real, got <v>``.  A nonnegative one
 passes ``_checks._check_nonnegative``: a finite real >= 0, or
-``<name> must be a finite nonnegative real, got <v>``.  Neither takes a
-bool: ``<name> must be a real number, got bool``.
+``<name> must be a finite nonnegative real, got <v>``.  A share passes
+``_checks._check_fraction``: a real in [0, 1), or ``<name> must lie in
+[0, 1), got <v>``.  None of the three takes a non-real (a bool, a str,
+None or a complex): ``<name> must be a real number, got <type>``.  A
+config object passes ``_checks._check_type``: ``<name> must be a <Class>,
+got <type>``.
 """
 
 import re
@@ -33,6 +39,7 @@ from rtea import (
     gen_mixture,
     gen_train,
     pogs_solve,
+    rtea_solve,
 )
 
 N = 96
@@ -116,6 +123,33 @@ NONNEGATIVES = {
     "SolverConfig-lam2": (lambda v: config(lam2=v), "lam2"),
     "check_convexity-a0": (lambda v: check_convexity(2, 1.0, v), "a0"),
     "gen_mixture-sigma": (lambda v: gen_mixture(n_samples=N, sigma=v), "sigma"),
+    "TransientTrain-jitter_pct": (lambda v: TransientTrain(32.0, jitter_pct=v), "jitter_pct"),
+    "gen_mixture-jitter_pct": (lambda v: gen_mixture(n_samples=N, jitter_pct=v), "jitter_pct"),
+}
+
+# entry point and argument -> (call on a value, the name its error gives the argument)
+FRACTIONS = {
+    "default_config-eta": (lambda v: default_config(SIGNAL, *PRIORS, eta=v), "eta"),
+    "default_config-a0_fraction": (lambda v: default_config(SIGNAL, *PRIORS, a0_fraction=v),
+                                   "a0_fraction"),
+}
+REALS = {**POSITIVES, **NONNEGATIVES, **FRACTIONS}
+# the reals whose None means "not given"
+OPTIONAL = {"PeriodSpec-period_samples", "PeriodSpec-fault_freq_hz",
+            "PeriodSpec-sample_rate_hz", "TransientTrain-modulation_freq_hz",
+            "TransientTrain-sample_rate_hz", "find_peaks-tol_hz"}
+NON_REALS = {"bool": True, "numpy-bool": np.True_, "str": "1", "none": None, "complex": 1j}
+
+# entry point and argument -> (call on a value, the name its error gives the
+# argument, the class it takes)
+CONFIG_OBJECTS = {
+    **{f"SolverConfig-{name}": ((lambda v, name=name: config(**{name: v})), name, "PenaltySpec")
+       for name in ("pen0", "pen1", "pen2")},
+    **{f"SolverConfig-{name}": ((lambda v, name=name: config(**{name: v})), name, "WeightArray")
+       for name in ("b1", "b2")},
+    "pogs_solve-spec": (lambda v: pogs_solve(SIGNAL, MASK, 0.5, v), "spec", "PenaltySpec"),
+    "pogs_solve-b": (lambda v: pogs_solve(SIGNAL, v, 0.5, ABS), "mask", "WeightArray"),
+    "rtea_solve-cfg": (lambda v: rtea_solve(SIGNAL, v), "cfg", "SolverConfig"),
 }
 
 
@@ -166,10 +200,13 @@ def test_negative_or_non_finite_real_is_refused_naming_the_argument(entry, value
         call(value)
 
 
-@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
-@pytest.mark.parametrize("entry", [*POSITIVES, *NONNEGATIVES])
-def test_bool_real_is_a_type_error_naming_the_argument(entry, value):
-    call, name = {**POSITIVES, **NONNEGATIVES}[entry]
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{kind}")
+    for entry in REALS for kind, value in NON_REALS.items()
+    if not (value is None and entry in OPTIONAL)
+])
+def test_non_real_is_a_type_error_naming_the_argument(entry, value):
+    call, name = REALS[entry]
     cause = f"{name} must be a real number, got {type(value).__name__}"
     with pytest.raises(TypeError, match=f"^{re.escape(cause)}$"):
         call(value)
@@ -179,3 +216,40 @@ def test_bool_real_is_a_type_error_naming_the_argument(entry, value):
 def test_zero_is_accepted_where_a_setting_may_be_zero(entry):
     call, _ = NONNEGATIVES[entry]
     call(0.0)
+
+
+@pytest.mark.parametrize("value", [-0.5, 1.0, np.inf, np.nan], ids=["negative", "one", "inf",
+                                                                  "nan"])
+@pytest.mark.parametrize("entry", FRACTIONS)
+def test_share_outside_zero_to_one_is_refused_naming_the_argument(entry, value):
+    call, name = FRACTIONS[entry]
+    cause = f"{name} must lie in [0, 1), got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [None, 0.5], ids=["none", "float"])
+@pytest.mark.parametrize("entry", CONFIG_OBJECTS)
+def test_config_object_of_another_class_is_a_type_error_naming_it(entry, value):
+    call, name, cls = CONFIG_OBJECTS[entry]
+    cause = f"{name} must be a {cls}, got {type(value).__name__}"
+    with pytest.raises(TypeError, match=f"^{re.escape(cause)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("band, error, cause", [
+    (("1", "5"), TypeError, "band_hz edge must be a real number, got str"),
+    ((False, True), TypeError, "band_hz edge must be a real number, got bool"),
+    ((1, 5, 7), ValueError, "band_hz must be a pair of edges (lo, hi), got (1, 5, 7)"),
+    (5.0, ValueError, "band_hz must be a pair of edges (lo, hi), got 5.0"),
+    ((np.nan, 100.0), ValueError, "band_hz must not have a NaN edge, got (nan, 100.0)"),
+], ids=["str-edges", "bool-edges", "three-edges", "one-number", "nan-edge"])
+def test_band_is_two_real_edges_or_a_refusal_naming_it(band, error, cause):
+    with pytest.raises(error, match=f"^{re.escape(cause)}$"):
+        find_peaks(SPECTRUM, band)
+
+
+@pytest.mark.parametrize("band", [(-np.inf, 400.0), (5.0, np.inf), (np.float32(5), np.int64(400))],
+                         ids=["open-low", "open-high", "numpy-scalars"])
+def test_band_with_an_open_edge_or_numpy_scalars_is_accepted(band):
+    find_peaks(SPECTRUM, band)
