@@ -143,10 +143,11 @@ NON_REALS = {"bool": True, "numpy-bool": np.True_, "str": "1", "none": None, "co
 # entry point and argument -> (call on a value, the name its error gives the
 # argument, the class it takes)
 CONFIG_OBJECTS = {
-    **{f"SolverConfig-{name}": ((lambda v, name=name: config(**{name: v})), name, "PenaltySpec")
-       for name in ("pen0", "pen1", "pen2")},
-    **{f"SolverConfig-{name}": ((lambda v, name=name: config(**{name: v})), name, "WeightArray")
-       for name in ("b1", "b2")},
+    "SolverConfig-pen0": (lambda v: config(pen0=v), "pen0", "PenaltySpec"),
+    "SolverConfig-pen1": (lambda v: config(pen1=v), "pen1", "PenaltySpec"),
+    "SolverConfig-pen2": (lambda v: config(pen2=v), "pen2", "PenaltySpec"),
+    "SolverConfig-b1": (lambda v: config(b1=v), "b1", "WeightArray"),
+    "SolverConfig-b2": (lambda v: config(b2=v), "b2", "WeightArray"),
     "pogs_solve-spec": (lambda v: pogs_solve(SIGNAL, MASK, 0.5, v), "spec", "PenaltySpec"),
     "pogs_solve-b": (lambda v: pogs_solve(SIGNAL, v, 0.5, ABS), "mask", "WeightArray"),
     "rtea_solve-cfg": (lambda v: rtea_solve(SIGNAL, v), "cfg", "SolverConfig"),
