@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _as_signal, _check_count, _check_fraction, _check_positive
+from ._checks import _as_signal, _check_count, _check_fraction, _check_positive, _check_type
 from .penalties import PenaltySpec
 from .regularizers import WeightArray
 from .solver import SolverConfig, check_convexity
@@ -90,6 +90,7 @@ class PeriodSpec:
 
 def build_weight_array(spec: PeriodSpec) -> WeightArray:
     """Periodic binary mask for this period prior: length m*round(T) + n1."""
+    _check_type("spec", spec, PeriodSpec)
     return WeightArray(n1=spec.n1, n0=spec.period_int - spec.n1, m=spec.m)
 
 

@@ -7,19 +7,20 @@ position where the mask overlaps the signal, i.e. positions
 
 Both the penalty and the weight sequences come from a term's smoothed
 window norms ``sqrt(S + eps)``, computed once per iterate by :func:`_norms`,
-and every convolution with a mask goes through :meth:`WeightArray._convolve`.
-A mask is m+1 copies of an n1-sample box at stride ``period``, so each
-convolution is one length-n1 box convolution plus m+1 shifted slice-adds:
+and every convolution with a mask goes through :meth:`WeightArray._convolve`
+in one of two shapes: the full convolution of ``x*x``, whose entries are the
+window sums, and the valid part of the convolution of the per-window weights
+``1/denom(u)``, one entry per sample.  A mask is m+1 copies of an n1-sample
+box at stride ``period``, so either shape is one convolution with the box's
+n1 ones, made once per mask, plus m+1 adds of it shifted by the period:
 O(N*(n1+m)) work instead of O(N*K), with every sum of nonnegative terms
-staying nonnegative.  The box kernel and the slices of those adds depend
-only on the mask, the input length and the output window, so
-:func:`_plan` builds them once per such key, not once per call.
+staying nonnegative.  Nothing else is kept between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -60,42 +61,33 @@ class WeightArray:
         """All-ones mask of length k (a single group, no period structure)."""
         return cls(n1=k, n0=0, m=0)
 
-    def _convolve(self, v: np.ndarray, start: int = 0, size: int | None = None) -> np.ndarray:
-        """Entries ``start .. start+size-1`` of the full convolution of ``v``
-        with the mask (all ``len(v) + len(self) - 1`` of them by default).
+    @cached_property
+    def _box(self) -> np.ndarray:
+        # the n1 ones of the box convolution, read-only, made once per mask
+        box = np.ones(self.n1)
+        box.flags.writeable = False
+        return box
+
+    def _convolve(self, v: np.ndarray, valid: bool = False) -> np.ndarray:
+        """The full convolution of ``v`` with the mask, ``len(v) + K - 1``
+        entries for a mask of length K, or with ``valid`` its
+        ``len(v) - K + 1`` entries where the mask lies wholly inside ``v``.
 
         The box convolution of ``v`` is added at each shift ``k*period``.  The
         mask is a palindrome, so this is also its correlation with ``v``: for
-        ``v = x*x`` entry i is the window sum at position ``i - (K-1)``.
+        ``v = x*x`` full entry i is the window sum at position ``i - (K-1)``.
         """
-        if size is None:
-            size = v.size + len(self) - 1
-        kernel, adds = _plan(self.n1, self.n0, self.m, v.size, start, size)
-        box = np.convolve(v, kernel)
-        out = np.zeros(size)
-        for dst, src in adds:
-            out[dst] += box[src]
+        box, p = np.convolve(v, self._box), self.period
+        if valid:
+            out = np.zeros(v.size - len(self) + 1)
+            for k in range(self.m, -1, -1):
+                lo = k * p + self.n1 - 1
+                out += box[lo : lo + out.size]
+            return out
+        out = np.zeros(v.size + len(self) - 1)
+        for k in range(self.m + 1):
+            out[k * p : k * p + box.size] += box
         return out
-
-
-# bounded: a solve uses at most 6 keys, and a long session cannot grow it
-@lru_cache(maxsize=64)
-def _plan(n1: int, n0: int, m: int, n: int, start: int, size: int):
-    """The plan of :meth:`WeightArray._convolve` for the mask ``(n1, n0, m)``
-    (its fields, which hash faster than the mask) and an ``n``-sample input:
-    the ones kernel of the box convolution and the ``(out slice, box slice)``
-    pairs of the nonempty shifted adds, in shift order, for entries
-    ``start .. start+size-1``."""
-    kernel = np.ones(n1)
-    kernel.flags.writeable = False
-    box_size = n + n1 - 1
-    adds = []
-    for k in range(m + 1):
-        shift = k * (n1 + n0) - start  # out index of box[0]
-        lo, hi = max(0, -shift), min(box_size, size - shift)
-        if lo < hi:
-            adds.append((slice(lo + shift, hi + shift), slice(lo, hi)))
-    return kernel, tuple(adds)
 
 
 def _check_mask(b, n: int) -> None:
@@ -119,10 +111,9 @@ def _penalty(u: np.ndarray, spec: PenaltySpec) -> float:
     return float(_value_at(u, spec.a, spec.family).sum())
 
 
-def _weights(b: WeightArray, u: np.ndarray, n: int, spec: PenaltySpec) -> np.ndarray:
-    # majorizer weights of the n-sample signal whose smoothed window norms under b are u
-    last = b.m * (b.n1 + b.n0) + b.n1 - 1  # len(b) - 1 without a Python-level call
-    return b._convolve(1.0 / _denom_at(u, spec.a, spec.family), last, n)
+def _weights(b: WeightArray, u: np.ndarray, spec: PenaltySpec) -> np.ndarray:
+    # majorizer weights of the signal whose smoothed window norms under b are u
+    return b._convolve(1.0 / _denom_at(u, spec.a, spec.family), valid=True)
 
 
 def group_penalty(x, b, spec: PenaltySpec) -> float:
@@ -133,6 +124,7 @@ def group_penalty(x, b, spec: PenaltySpec) -> float:
     """
     x = _as_signal(x, "x")
     _check_mask(b, x.size)
+    _check_type("spec", spec, PenaltySpec)
     return _penalty(_norms(b, x, spec), spec)
 
 
@@ -144,7 +136,8 @@ def majorizer_weights(z, b, spec: PenaltySpec) -> np.ndarray:
     """
     z = _as_signal(z, "z")
     _check_mask(b, z.size)
-    return _weights(b, _norms(b, z, spec), z.size, spec)
+    _check_type("spec", spec, PenaltySpec)
+    return _weights(b, _norms(b, z, spec), spec)
 
 
 def combined_majorizer_weights(z, k0: int, spec: PenaltySpec) -> np.ndarray:

@@ -279,7 +279,7 @@ def _objective(y: np.ndarray, groups, coupling):
         norms, u0 = all_norms
         ps = []
         for u, (lam, b, pen) in zip(norms, groups):
-            p = _weights(b, u, n, pen)
+            p = _weights(b, u, pen)
             p *= lam
             ps.append(p)
         if len(xs) == 1:
@@ -288,7 +288,7 @@ def _objective(y: np.ndarray, groups, coupling):
             return [np.divide(y, p, out=p)]
         t = 1.0
         if coupling is not None:
-            t = _weights(b0, u0, n, pen0)
+            t = _weights(b0, u0, pen0)
             t *= lam0
             t += 1.0
         p1, p2 = ps

@@ -154,6 +154,9 @@ def gen_mixture(
     """
     _check_nonnegative("sigma", sigma)
     _check_count("seed", seed, 0)
+    # each period refused under its own name, not as TransientTrain's period_samples
+    _check_positive("t1", t1)
+    _check_positive("t2", t2)
     root = np.random.default_rng(seed)
     s1, s2, sn = (int(v) for v in root.integers(0, 2**63 - 1, size=3))
     common = dict(

@@ -329,7 +329,8 @@ class TestExtract:
     @pytest.mark.parametrize("mode", ["rtea", "mca", "pogs"])
     def test_reversed_input_gives_reversed_components(self, tmp_path, mode):
         # every mask is a palindrome and the median is order-free, so the
-        # reversed record has the same weights and a reversed optimum
+        # reversed record has the same noise estimate, the same weights and
+        # a reversed optimum
         y = gen_mixture(n_samples=1024, t1=32, t2=53, seed=7).y
         runs = []
         for name, signal in (("fwd", y), ("rev", y[::-1])):
@@ -340,7 +341,10 @@ class TestExtract:
             manifest = json.loads((out / "manifest.json").read_text())
             runs.append((read_columns_csv(str(out / "components.csv")), manifest))
         (fwd, fwd_record), (rev, rev_record) = runs
+        assert rev_record["sigma_hat"] == fwd_record["sigma_hat"]
+        assert rev_record["config"] == fwd_record["config"]
         assert rev_record["metrics"]["iterations"] == fwd_record["metrics"]["iterations"]
+        assert rev_record["metrics"]["converged"] and fwd_record["metrics"]["converged"]
         names = [c for c in fwd if c != "index"]
         assert names == (["x1", "residual"] if mode == "pogs" else ["x1", "x2", "residual"])
         for c in names:
@@ -531,7 +535,7 @@ def extract_with_config(generated, tmp_path, cfg, *flags, name="cfg"):
     ("analyze", ["--fs", 12800, "--tol-hz", "nan"], "tol_hz must be a finite positive real, got nan"),
     ("analyze", ["--fs", 12800, "--band", "nan", 100],
      "band_hz must not have a NaN edge, got (nan, 100.0)"),
-    ("generate", ["--t1", "inf"], "period_samples must be a finite positive real, got inf"),
+    ("generate", ["--t1", "inf"], "t1 must be a finite positive real, got inf"),
     ("generate", ["--sigma", "nan"], "sigma must be a finite nonnegative real, got nan"),
     ("generate", ["--sigma", "inf"], "sigma must be a finite nonnegative real, got inf"),
     ("generate", ["--modulation-freq", "inf", "--fs", 100],
@@ -889,9 +893,8 @@ ONE_ROW = "y,x1\n1.0,1.0\n"
     ("generate", None, ["--modulation-freq", 1, "--fs", "5e-324"],
      "modulation phase 2*pi*modulation_freq_hz*n/sample_rate_hz = 2*pi*1.0*1024/5e-324 "
      "overflows"),
-    # train 2's period is checked before train 1 is allocated
-    ("generate", None, ["--n", 10**18, "--t2", "nan"],
-     "period_samples must be a finite positive real, got nan"),
+    # train 2's period is checked, under its own name, before train 1 is allocated
+    ("generate", None, ["--n", 10**18, "--t2", "nan"], "t2 must be a finite positive real, got nan"),
     # the noise estimate and the spectrum need two samples; the error names the file
     ("analyze", ONE_ROW, ["--fs", 12800], "{input}: x1 needs at least 2 samples, got 1"),
     ("extract", ONE_ROW, ["--period1", 32, "--period2", 53],

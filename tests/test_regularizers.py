@@ -97,11 +97,10 @@ def mask_and_signal(draw):
 
 
 @st.composite
-def interleaved_windows(draw):
-    """A mask (m = 0 included) and a run of convolutions with it, each
-    ``(x, start, size)`` of ``x*x``: inputs of two lengths, interleaved, and
-    windows that are the whole convolution, the weights' (start K-1, size
-    n), or cut at either end."""
+def interleaved_shapes(draw):
+    """A mask (m = 0 included) and a run of convolutions of ``x*x`` with it,
+    each ``(x, valid)``: inputs of two lengths, interleaved, in the two
+    shapes the solver takes, the full convolution and its valid part."""
     n1 = draw(st.integers(1, 4))
     m = draw(st.integers(0, 3))
     n0 = draw(st.integers(0, 5)) if m else 0
@@ -111,38 +110,28 @@ def interleaved_windows(draw):
     calls = []
     for _ in range(draw(st.integers(3, 8))):
         n = draw(st.sampled_from(lengths))
-        full = n + k - 1
-        start, size = draw(st.sampled_from([
-            (0, full),
-            (k - 1, n - k + 1),
-            (draw(st.integers(1, full - 1)) if full > 1 else 0, None),
-            (0, draw(st.integers(1, full))),
-        ]))
-        if size is None:
-            size = full - start
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        calls.append((rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n), start, size))
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+        calls.append((x, draw(st.booleans())))
     return b, calls
 
 
 class TestPeriodicConvolution:
     @settings(max_examples=60, deadline=None)
-    @given(case=interleaved_windows())
-    @example(case=(WeightArray(2, 3, 2), [(np.arange(1.0, 13.0), 0, 23),
-                                          (np.arange(1.0, 30.0), 11, 18),
-                                          (np.arange(1.0, 13.0), 5, 4),
-                                          (np.arange(1.0, 30.0), 0, 40)]))
-    @example(case=(WeightArray.ones(3), [(np.ones(5), 0, 7), (np.ones(9), 2, 7),
-                                         (np.ones(5), 2, 5), (np.ones(9), 1, 3)]))
-    def test_plan_follows_length_and_window(self, case):
-        # one mask at interleaved input lengths and windows: a plan reused
-        # across any of them would add the box at the wrong places
+    @given(case=interleaved_shapes())
+    @example(case=(WeightArray(2, 3, 2), [(np.arange(1.0, 13.0), False),
+                                          (np.arange(1.0, 30.0), True),
+                                          (np.arange(1.0, 13.0), True),
+                                          (np.arange(1.0, 30.0), False)]))
+    @example(case=(WeightArray.ones(3), [(np.ones(5), False), (np.ones(9), True),
+                                         (np.ones(5), True), (np.ones(9), False)]))
+    def test_both_shapes_follow_the_input_length(self, case):
+        # one mask at interleaved input lengths and both shapes: anything
+        # kept across calls but the mask would add the box at the wrong places
         b, calls = case
-        for x, start, size in calls:
-            full = np.convolve(x * x, dense_mask(b))
-            np.testing.assert_allclose(
-                b._convolve(x * x, start, size), full[start : start + size], rtol=1e-12, atol=0
-            )
+        for x, valid in calls:
+            dense = np.convolve(x * x, dense_mask(b), "valid" if valid else "full")
+            np.testing.assert_allclose(b._convolve(x * x, valid), dense, rtol=1e-12, atol=0)
 
     @settings(max_examples=60, deadline=None)
     @given(case=mask_and_signal())

@@ -31,6 +31,7 @@ from rtea import (
     TransientTrain,
     WeightArray,
     beta_lookup,
+    build_weight_array,
     check_convexity,
     combined_majorizer_weights,
     default_config,
@@ -38,6 +39,8 @@ from rtea import (
     find_peaks,
     gen_mixture,
     gen_train,
+    group_penalty,
+    majorizer_weights,
     pogs_solve,
     rtea_solve,
 )
@@ -97,6 +100,9 @@ POSITIVES = {
     "PeriodSpec-sample_rate_hz": (lambda v: PeriodSpec(fault_freq_hz=57.8, sample_rate_hz=v),
                                   "sample_rate_hz"),
     "TransientTrain-period_samples": (lambda v: TransientTrain(v), "period_samples"),
+    # gen_mixture's periods are named as given, not by the TransientTrain field
+    "gen_mixture-t1": (lambda v: gen_mixture(n_samples=N, t1=v), "t1"),
+    "gen_mixture-t2": (lambda v: gen_mixture(n_samples=N, t2=v), "t2"),
     "TransientTrain-modulation_freq_hz": (
         lambda v: TransientTrain(32.0, modulation_freq_hz=v, sample_rate_hz=100.0),
         "modulation_freq_hz",
@@ -151,6 +157,12 @@ CONFIG_OBJECTS = {
     "pogs_solve-spec": (lambda v: pogs_solve(SIGNAL, MASK, 0.5, v), "spec", "PenaltySpec"),
     "pogs_solve-b": (lambda v: pogs_solve(SIGNAL, v, 0.5, ABS), "mask", "WeightArray"),
     "rtea_solve-cfg": (lambda v: rtea_solve(SIGNAL, v), "cfg", "SolverConfig"),
+    "group_penalty-spec": (lambda v: group_penalty(SIGNAL, MASK, v), "spec", "PenaltySpec"),
+    "majorizer_weights-spec": (lambda v: majorizer_weights(SIGNAL, MASK, v), "spec",
+                               "PenaltySpec"),
+    "combined_majorizer_weights-spec": (lambda v: combined_majorizer_weights(SIGNAL, 2, v),
+                                        "spec", "PenaltySpec"),
+    "build_weight_array-spec": (lambda v: build_weight_array(v), "spec", "PeriodSpec"),
 }
 
 

@@ -12,7 +12,7 @@ from rtea.params import (
     estimate_sigma,
 )
 from rtea.penalties import PenaltySpec
-from rtea.regularizers import WeightArray, _plan
+from rtea.regularizers import WeightArray
 from rtea.solver import (
     DecompositionResult,
     NumericalError,
@@ -474,28 +474,9 @@ class TestNumericalRule:
             pogs_solve(y, WeightArray(2, 18, 2), 1e308, ABS)
 
 
-class TestMaskedSumPlans:
-    """Each masked sum's plan is built once per mask, input length and
-    output window, and whatever the cache holds leaves the results alone."""
-
-    def test_one_plan_per_mask_and_window(self):
-        mix = gen_mixture(n_samples=200, seed=30, sigma=0.5, t1=20, t2=33)
-        cfg = small_config(b1=WeightArray(2, 18, 2), b2=WeightArray(3, 30, 2), k0=3)
-        _plan.cache_clear()
-        rtea_solve(mix.y, cfg)
-        # window norms and weights for the coupling term and each component
-        assert _plan.cache_info().misses <= 6
-        built = _plan.cache_info().misses
-        rtea_solve(gen_mixture(n_samples=200, seed=31, sigma=0.5, t1=20, t2=33).y, cfg)
-        assert _plan.cache_info().misses == built
-
-    def test_cache_is_bounded(self):
-        b = WeightArray(2, 3, 2)
-        bound = _plan.cache_info().maxsize
-        assert bound is not None
-        for n in range(len(b), len(b) + bound + 10):
-            b._convolve(np.ones(n))
-        assert _plan.cache_info().currsize <= bound
+class TestMaskedSums:
+    """The masked sums keep no state between calls, so whatever ran before
+    leaves a solve's results alone."""
 
     def test_result_does_not_depend_on_earlier_solves(self):
         mix = gen_mixture(n_samples=200, seed=32, sigma=0.5, t1=20, t2=33)
@@ -507,17 +488,12 @@ class TestMaskedSumPlans:
             pogs_solve(other.y, WeightArray(2, 14, 3), 0.3, ABS, max_iter=20)
             pogs_solve(mix.y, WeightArray.ones(4), 0.3, ABS, max_iter=20)
 
-        _plan.cache_clear()
         first = rtea_solve(mix.y, cfg)
         others()
         after = rtea_solve(mix.y, cfg)
-        _plan.cache_clear()
-        others()
-        cold_after = rtea_solve(mix.y, cfg)
-        for res in (after, cold_after):
-            for x, x_first in zip(res.xs, first.xs):
-                assert x.tobytes() == x_first.tobytes()
-            assert res.cost_history.tobytes() == first.cost_history.tobytes()
+        for x, x_first in zip(after.xs, first.xs):
+            assert x.tobytes() == x_first.tobytes()
+        assert after.cost_history.tobytes() == first.cost_history.tobytes()
 
 
 class TestTimeReversal:
