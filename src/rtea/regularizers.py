@@ -11,10 +11,13 @@ and every convolution with a mask goes through :meth:`WeightArray._convolve`
 in one of two shapes: the full convolution of ``x*x``, whose entries are the
 window sums, and the valid part of the convolution of the per-window weights
 ``1/denom(u)``, one entry per sample.  A mask is m+1 copies of an n1-sample
-box at stride ``period``, so either shape is one convolution with the box's
-n1 ones, made once per mask, plus m+1 adds of it shifted by the period:
-O(N*(n1+m)) work instead of O(N*K), with every sum of nonnegative terms
-staying nonnegative.  Nothing else is kept between calls.
+box at stride ``period``, so either shape is one correlation with the box's
+n1 ones, made once per mask, in that shape, plus its copies shifted by the
+period: the first copy that reaches an entry is copied there and the later
+ones added, m adds per entry at most and none for ``m = 0``, where the box
+correlation is itself the result.  That is O(N*(n1+m)) work instead of
+O(N*K), with every sum of nonnegative terms staying nonnegative.  Nothing
+else is kept between calls.
 """
 
 from __future__ import annotations
@@ -73,20 +76,35 @@ class WeightArray:
         entries for a mask of length K, or with ``valid`` its
         ``len(v) - K + 1`` entries where the mask lies wholly inside ``v``.
 
-        The box convolution of ``v`` is added at each shift ``k*period``.  The
-        mask is a palindrome, so this is also its correlation with ``v``: for
-        ``v = x*x`` full entry i is the window sum at position ``i - (K-1)``.
+        The box correlation of ``v`` in the same shape (its n1 ones make it
+        the convolution too) is added at each shift ``k*period``; for
+        ``m = 0`` it is the result itself.  The sum starts from the first
+        copy that reaches an entry, not from zeros, and adds the rest in a
+        fixed order: k = 0..m for the full shape, m..0 for the valid one.
+        The mask is a palindrome, so this is also its correlation with
+        ``v``: for ``v = x*x`` full entry i is the window sum at position
+        ``i - (K-1)``.  ``v`` holds at least K >= n1 samples
+        (:func:`_check_mask`), so the box pass never swaps its operands.
         """
-        box, p = np.convolve(v, self._box), self.period
+        p, m = self.period, self.m
+        box = np.correlate(v, self._box, "valid" if valid else "full")
+        if m == 0:
+            return box
         if valid:
-            out = np.zeros(v.size - len(self) + 1)
-            for k in range(self.m, -1, -1):
-                lo = k * p + self.n1 - 1
-                out += box[lo : lo + out.size]
+            # entry i is the sum of box[i + k*p] over k, from k = m down
+            size = box.size - m * p
+            lo = m * p
+            out = box[lo : lo + size] + box[lo - p : lo - p + size]
+            for k in range(m - 2, -1, -1):
+                out += box[k * p : k * p + size]
             return out
-        out = np.zeros(v.size + len(self) - 1)
-        for k in range(self.m + 1):
-            out[k * p : k * p + box.size] += box
+        # copy k spans [k*p, k*p + box.size): its first s = box.size - p
+        # entries overlap copy k-1, and the last p reach past it, so each
+        # entry starts as the first copy that reaches it
+        s = box.size - p
+        out = np.concatenate((box,) + (box[s:],) * m)
+        for k in range(1, m + 1):
+            out[k * p : k * p + s] += box[:s]
         return out
 
 

@@ -2,7 +2,9 @@
 
 The sums, penalties and weights are written as plain nested loops straight
 from the definitions, deliberately avoiding the convolution/sliding-window
-code paths used by the package.  The gradient and the majorizer gaps at the
+code paths used by the package; ``shift_add_sums`` is the one exception,
+the masked sums as a zeros buffer plus shifted adds, which pins the order
+the package's masked-sum primitive adds in.  The gradient and the majorizer gaps at the
 end are built from the package's public regularizer functions; they test
 identities that must hold between those functions.  The helpers in between
 (raw penalty, scalar majorizer, coupling penalty, single transient, a
@@ -36,6 +38,25 @@ def dense_mask(b):
     """The 0/1 mask of a ``WeightArray`` as a float array of length len(b)."""
     unit = np.concatenate([np.ones(b.n1), np.zeros(b.n0)])
     return np.concatenate([np.tile(unit, b.m), np.ones(b.n1)])
+
+
+def shift_add_sums(v, b, valid=False):
+    """A ``WeightArray``'s masked sums of ``v`` as a zeros buffer plus m+1
+    adds of the box convolution ``np.convolve(v, ones(n1))``, shifted by
+    k*period: k = 0..m into the full convolution, or k = m..0 into its
+    ``len(v) - K + 1`` valid entries.  Fixes the order every entry is
+    summed in, bit for bit, for ``WeightArray._convolve``."""
+    box, p = np.convolve(v, np.ones(b.n1)), b.n1 + b.n0
+    if valid:
+        out = np.zeros(v.size - len(b) + 1)
+        for k in range(b.m, -1, -1):
+            lo = k * p + b.n1 - 1
+            out += box[lo : lo + out.size]
+        return out
+    out = np.zeros(v.size + len(b) - 1)
+    for k in range(b.m + 1):
+        out[k * p : k * p + box.size] += box
+    return out
 
 
 def window_sums_loops(x, b):

@@ -170,8 +170,51 @@ class TestMajorizer:
         assert gap >= -1e-9 * max(1.0, abs(u), abs(v))
 
 
+def closed_value(t, a, family):
+    """The penalty at magnitude t, each closed form in one allocating expression."""
+    if a == 0.0 or family == "abs":
+        return t
+    if family == "log":
+        return np.log1p(a * t) / a
+    if family == "rat":
+        return t / (1.0 + 0.5 * a * t)
+    at = np.minimum(a * t, 2.0**60)
+    return 2.0 / (a * np.sqrt(3.0)) * np.arctan(np.sqrt(3.0) * at / (2.0 + at))
+
+
+def closed_denom(t, a, family):
+    """The majorizer denominator at magnitude t, as ``closed_value``."""
+    if a == 0.0 or family == "abs":
+        return t
+    if family == "log":
+        return t * (1.0 + a * t)
+    if family == "rat":
+        return t * (1.0 + 0.5 * a * t) ** 2
+    at = a * t
+    return t * (1.0 + at + at * at)
+
+
 def test_scalar_in_scalar_out():
+    # Python scalars, 0-d and 1-d input for every family: the shape of the
+    # input, values bit for bit the closed forms', and the input left alone
     spec = PenaltySpec("rat", a=0.4)
     assert float(penalty(1.5, spec)) > 0
     assert np.shape(penalty(1.5, spec)) == ()
     assert penalty(np.ones(7), spec).shape == (7,)
+    inputs = (1.5, -0.0, np.float64(-2.5), np.array(0.75), np.array([0.0, 1e-150, -3.0, 1e100]))
+    for family in FAMILIES:
+        spec = spec_of(family, a=0.4)
+        for u in inputs:
+            kept = np.array(u, dtype=float)
+            t = np.sqrt(kept * kept + spec.eps)
+            cases = (
+                (smoothed_penalty(u, spec), closed_value(t, spec.a, family)),
+                (penalty(t, spec), closed_value(t, spec.a, family)),
+                (penalty(u, spec), closed_value(np.abs(kept), spec.a, family)),
+                (majorizer_denom(u, spec), closed_denom(t, spec.a, family)),
+            )
+            for got, want in cases:
+                assert np.shape(got) == np.shape(u)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                assert not np.shares_memory(got, u)
+            np.testing.assert_array_equal(u, kept)

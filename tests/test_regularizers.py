@@ -17,6 +17,7 @@ from oracles import (
     dense_mask,
     group_majorizer_gap,
     group_penalty_loops,
+    shift_add_sums,
     weights_loops,
     window_sums_loops,
 )
@@ -116,7 +117,45 @@ def interleaved_shapes(draw):
     return b, calls
 
 
+@st.composite
+def mask_and_terms(draw):
+    """A mask with m = 0..4 and K to 3K nonnegative terms to sum under it,
+    as ``x*x`` and ``1/denom`` are: exact zeros among magnitudes drawn from
+    a range of decades within 1e-150 .. 1e150."""
+    n1 = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 4))
+    n0 = draw(st.integers(0, 6)) if m else 0
+    b = WeightArray(n1, n0, m)
+    n = draw(st.integers(len(b), 3 * len(b)))
+    lo = draw(st.integers(-150, 149))
+    hi = draw(st.integers(lo, 149))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.uniform(1.0, 10.0, size=n) * 10.0 ** rng.integers(lo, hi + 1, size=n)
+    v[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    return b, v
+
+
 class TestPeriodicConvolution:
+    @settings(max_examples=200, deadline=None)
+    @given(case=mask_and_terms(), valid=st.booleans())
+    # the shortest inputs: N == K for the full shape, one entry for the valid
+    # one, and for m = 0 both at N == n1
+    @example(case=(WeightArray.ones(1), np.array([3.0])), valid=False)
+    @example(case=(WeightArray.ones(3), np.array([1e-150, 0.0, 1e150])), valid=False)
+    @example(case=(WeightArray.ones(3), np.array([1e-150, 0.0, 1e150])), valid=True)
+    @example(case=(WeightArray(2, 3, 2), np.arange(12.0) / 7.0), valid=False)
+    @example(case=(WeightArray(2, 3, 2), np.arange(12.0) / 7.0), valid=True)
+    @example(case=(WeightArray(1, 0, 4), np.full(5, 0.1)), valid=True)
+    def test_sums_added_in_the_fixed_order(self, case, valid):
+        # bit for bit the zeros-plus-shifted-adds sum in its order, every
+        # entry a new array apart from the input
+        b, v = case
+        got = b._convolve(v, valid)
+        want = shift_add_sums(v, b, valid)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, v)
+
     @settings(max_examples=60, deadline=None)
     @given(case=interleaved_shapes())
     @example(case=(WeightArray(2, 3, 2), [(np.arange(1.0, 13.0), False),
