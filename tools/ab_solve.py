@@ -50,8 +50,6 @@ def load_api(tree: Path, tag: str):
     src = tree / "src"
     if not (src / "rtea" / "__init__.py").is_file():
         raise SystemExit(f"ab_solve: no package source at {src / 'rtea'}")
-    for name in [n for n in sys.modules if n == "rtea" or n.startswith("rtea.")]:
-        del sys.modules[name]
     sys.path.insert(0, str(src))
     try:
         spec = importlib.util.spec_from_file_location(f"ab_api_{tag}", BENCH / "api.py")
@@ -128,7 +126,7 @@ def main(argv=None) -> int:
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         t = {side: solve_time(warm[side], w.solve_repeats) for side in order}
         ratios.append(t["change"] / t["parent"])
-    q1, med, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    q1, med, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
     wins = sum(x < 1.0 for x in ratios)
     print(
         f"{args.workload}: change/parent warm solve time, median {med:.3f} "
