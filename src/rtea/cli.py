@@ -17,12 +17,12 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import fileio
+from . import __version__, fileio
 from ._checks import _as_signal
 from .analysis import _rms, envelope_spectrum, find_peaks, rmse
 from .penalties import FAMILIES, PenaltySpec
 from .params import PeriodSpec, _config, _pogs_lam, build_weight_array, estimate_sigma
-from .solver import NumericalError, check_convexity, pogs_solve, rtea_solve
+from .solver import NumericalError, SolverConfig, check_convexity, pogs_solve, rtea_solve
 from .synth import gen_mixture
 
 DEFAULT_OUT = "out"
@@ -76,13 +76,16 @@ def _write_run(out, name, command, tables, settings, **results) -> None:
     """Write ``tables``, ``{key: (file name, columns)}``, as CSV files in
     ``out``, then the run record ``out/name``: ``results``, the run's
     ``settings``, the path and SHA-256 digest of each table written under
-    ``outputs``, the command and the time; print the paths written."""
+    ``outputs``, the command, the time and the versions that ran; print the
+    paths written."""
     outputs = {}
     for key, (file_name, columns) in tables.items():
         path = os.path.join(out, file_name)
         outputs[key] = {"path": path, "sha256": fileio.write_columns_csv(path, columns)}
     record = {**results, "settings": settings, "outputs": outputs, "command": command,
-              "timestamp": fileio.utc_timestamp()}
+              "timestamp": fileio.utc_timestamp(), "versions": {
+                  "python": sys.version.split()[0], "numpy": np.__version__,
+                  "rtea": __version__}}
     path = os.path.join(out, name)
     fileio.write_json(path, _json_safe(record))
     print("wrote", ", ".join([*(entry["path"] for entry in outputs.values()), path]))
@@ -428,10 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
                    "as a fraction of the convexity bound, default %(default)s")
     s.add_argument("--penalty", choices=FAMILIES, default="atan",
                    help="penalty family for the coupling term, default %(default)s")
-    s.add_argument("--max-iter", type=int, default=200, help="budget of map evaluations "
-                   "(three per accelerated cycle), default %(default)s")
-    s.add_argument("--tol", type=float, default=1e-8,
-                   help="stop when a plain step changes the cost by less than this, relative")
+    s.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, help="budget of map "
+                   "evaluations (three per accelerated cycle), default %(default)s")
+    s.add_argument("--tol", type=float, default=SolverConfig.tol, help="stop when the "
+                   "relative change of the cost in a plain step is at most this")
     s.add_argument("--config", default=None,
                    help="JSON config file whose keys set these flags; flags given override it")
     s.add_argument("--out", default=DEFAULT_OUT)

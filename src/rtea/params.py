@@ -159,8 +159,8 @@ def default_config(
     eta: float = 0.5,
     a0_fraction: float = 0.5,
     family: str = "atan",
-    max_iter: int = 200,
-    tol: float = 1e-8,
+    max_iter: int = SolverConfig.max_iter,
+    tol: float = SolverConfig.tol,
 ) -> SolverConfig:
     """Assemble a full solver config from the two period priors.
 

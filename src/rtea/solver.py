@@ -98,7 +98,9 @@ class SolverConfig:
     parameters that would break global convexity: only the coupling penalty
     may be non-convex, within the bound of :func:`check_convexity`.
     ``max_iter`` counts map evaluations of the accelerated loop (three per
-    SQUAREM cycle), and ``tol`` is its relative stop tolerance on the cost.
+    SQUAREM cycle), and ``tol`` is the relative change of the cost at which
+    it stops (the rule of :func:`_mm`); their defaults here are the only
+    ones, and every other entry point takes them from this class.
     """
 
     lam0: float
@@ -180,9 +182,11 @@ def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> Decompositi
     ``max_iter`` and the result's ``iterations`` count map evaluations: a
     cycle is three, and one cut short by the budget ends on its plain
     steps.  ``cost_history[k]`` is the cost of the iterate held after k
-    evaluations (a rejected extrapolation repeats cost(x2)).  The loop stops
-    when a plain step changes the cost by less than ``tol`` relative to
-    ``max(cost, 1)``.
+    evaluations (a rejected extrapolation repeats cost(x2)).  The stop rule
+    is written here alone: the loop stops when a plain step from cost ``c0``
+    to cost ``c`` has ``|c0 - c| <= tol * c``, a relative change of the cost
+    with no absolute floor, so the rule reads no data unit.
+    A step that leaves the cost unchanged stops the loop, even at cost 0.
 
     One numerical rule holds: every cost the loop records, the start's
     included, must be finite, or it raises :class:`NumericalError` naming
@@ -200,7 +204,7 @@ def _mm(y, xs, norms_and_cost, update, max_iter: int, tol: float) -> Decompositi
         norms, c = norms_and_cost(*xs)
         if not np.isfinite(c):
             raise NumericalError(f"cost became non-finite at iteration {len(costs)}")
-        done = bool(costs) and abs(costs[-1] - c) / max(c, 1.0) < tol
+        done = bool(costs) and abs(costs[-1] - c) <= tol * c
         costs.append(c)
         return xs, norms, done
 
@@ -351,11 +355,11 @@ def rtea_solve(y, cfg: SolverConfig, init=None) -> DecompositionResult:
     """Decompose ``y`` into two repetitive group-sparse components.
 
     Starts from ``x1 = x2 = y`` unless ``init`` is an explicit pair, and
-    runs the accelerated majorize-minimize loop (:func:`_mm`) until a plain
-    step changes the cost by less than ``cfg.tol`` relative to
-    ``max(cost, 1)`` or ``cfg.max_iter`` map evaluations are done.  The
-    result's ``iterations`` counts map evaluations, and its cost history
-    holds the cost of the iterate held after each, the start included.
+    runs the accelerated majorize-minimize loop until the stop rule of
+    :func:`_mm` holds for ``cfg.tol`` or ``cfg.max_iter`` map evaluations
+    are done.  The result's ``iterations`` counts map evaluations, and its
+    cost history holds the cost of the iterate held after each, the start
+    included.
     """
     y = _as_signal(y, "observation")
     _check_type("cfg", cfg, SolverConfig)
@@ -370,16 +374,17 @@ def pogs_solve(
     b,
     lam: float,
     spec: PenaltySpec,
-    max_iter: int = 200,
-    tol: float = 1e-8,
+    max_iter: int = SolverConfig.max_iter,
+    tol: float = SolverConfig.tol,
     full_output: bool = False,
 ):
     """Single-component group-sparse denoiser (periodic or plain mask).
 
     Minimizes ``0.5*||y - x||^2 + lam * group_penalty(x, b, spec)``, the
     one-component case of :func:`rtea_solve`'s objective, with the same
-    accelerated loop, stop rule and component rule (``spec.a == 0``);
-    ``max_iter`` and the result's ``iterations`` count map evaluations.
+    accelerated loop, stop rule (:func:`_mm`) and component rule
+    (``spec.a == 0``); ``max_iter`` and the result's ``iterations`` count
+    map evaluations, and both settings default to :class:`SolverConfig`'s.
     With an all-ones mask this is the plain overlapping group-sparsity
     denoiser.  Returns the one-component :class:`DecompositionResult`,
     whose ``x1`` is the denoised signal.  ``full_output`` returns

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 import warnings
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import rtea
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -857,8 +859,10 @@ def test_record_lists_every_output(generated, tmp_path, case):
     record = strict_json((out / name).read_text())
     if case in OPEN_BANDS:
         assert record["settings"]["band_hz"] == OPEN_BANDS[case]
-    assert {"command", "timestamp", "settings", "outputs"} <= set(record)
+    assert {"command", "timestamp", "settings", "outputs", "versions"} <= set(record)
     assert record["command"] == command
+    assert record["versions"] == {"python": platform.python_version(),
+                                  "numpy": np.__version__, "rtea": rtea.__version__}
     assert datetime.fromisoformat(record["timestamp"]).tzinfo is not None
     assert ("input" in record) == bool(inputs)
     for path in inputs:

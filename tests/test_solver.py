@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -260,6 +261,18 @@ class TestSolve:
         assert res.converged and res.iterations <= 2
         np.testing.assert_array_equal(res.x1, 0.0)
         np.testing.assert_array_equal(res.x2, 0.0)
+
+    def test_zero_cost_stops_without_error(self):
+        # with no regularizer the first step fits y exactly, cost 0; the
+        # relative stop rule must hold on the unchanged cost 0 that follows,
+        # not divide by it
+        y = gen_mixture(n_samples=128, seed=6, sigma=0.5, t1=20, t2=33).y
+        cfg = small_config(lam0=0.0, lam1=0.0, lam2=0.0, pen0=ABS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = rtea_solve(y, cfg)
+        assert res.final_cost == 0.0 and res.converged
+        assert res.iterations == 2
 
     def test_cost_history_nonincreasing(self):
         mix = gen_mixture(n_samples=256, seed=5, sigma=0.7)

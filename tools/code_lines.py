@@ -5,11 +5,15 @@ lines and statement-level strings (docstrings) are left out.
 
     python tools/code_lines.py src/rtea/*.py
 
-prints each file's count and then the total.
+prints each file's count and then the total.  With no arguments it counts
+the package, ``src/rtea/*.py`` of the tree this script is in.
 """
 
 import sys
 import tokenize
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "rtea"
 
 # tokens that are not code: layout, comments and the stream's ends
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING,
@@ -33,7 +37,7 @@ def code_lines(path: str) -> int:
 
 if __name__ == "__main__":
     total = 0
-    for path in sys.argv[1:]:
+    for path in sys.argv[1:] or sorted(map(str, PACKAGE.glob("*.py"))):
         n = code_lines(path)
         total += n
         print(f"{n:6d} {path}")
